@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, FlavorError, ShapeError
-from .matrix import QMatrix, is_involution, is_skew_involution, qdet
+from .matrix import QMatrix, is_involution, is_skew_involution
 from .reversers import (Certificate, FLAVOR_INVOLUTION, FLAVOR_SKEW,
-                        TARGET_INVERSE, TARGET_NEG_INVERSE, target_matrix)
+                        TARGET_INVERSE, TARGET_NEG_INVERSE, VerifyReport,
+                        check_certificate)
 
 SQUARE_PLUS = "+I"
 SQUARE_MINUS = "-I"
@@ -95,38 +96,6 @@ def product_involution_skew(a: QMatrix, cert: Certificate) -> Factorization:
     return _checked(s1, h, a, SQUARE_MINUS, SQUARE_PLUS)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    residual_zero: bool
-    flavor_verified: bool
-    det_one: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.residual_zero and self.flavor_verified and self.det_one
-
-    def to_json(self) -> dict:
-        return {
-            "residual_zero": self.residual_zero,
-            "flavor_verified": self.flavor_verified,
-            "det_one": self.det_one,
-            "ok": self.ok,
-        }
-
-
 def verify_certificate(a: QMatrix, cert: Certificate) -> VerifyReport:
     """Recompute every certificate check from scratch against A."""
-    g = cert.g
-    if not (a.is_square and g.is_square and a.n_rows == g.n_rows):
-        raise ShapeError("matrix and certificate sizes do not match")
-    det_one = qdet(g) == 1
-    b = target_matrix(a, cert.target)
-    residual_zero = (g * a - b * g).is_zero
-    if cert.flavor == FLAVOR_INVOLUTION:
-        flavor_ok = is_involution(g)
-    elif cert.flavor == FLAVOR_SKEW:
-        flavor_ok = is_skew_involution(g)
-    else:
-        flavor_ok = True
-    return VerifyReport(residual_zero=residual_zero,
-                        flavor_verified=flavor_ok, det_one=det_one)
+    return check_certificate(cert.g, a, cert.target, cert.flavor)

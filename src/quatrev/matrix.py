@@ -7,9 +7,11 @@ from the left only, which is what keeps elimination valid over the
 quaternions with the right-module convention.
 
 The complex embedding sends A = A1 + A2*j to the 2n x 2n complex matrix
-[[A1, A2], [-conj(A2), conj(A1)]].  Its determinant is a nonnegative
-rational, computed exactly by Bareiss fraction-free elimination, and serves
-as the determinant function on quaternionic matrices.
+[[A1, A2], [-conj(A2), conj(A1)]].  Its determinant, the Study
+determinant, is the determinant function on quaternionic matrices; ``qdet``
+computes it exactly by quaternion Gaussian elimination on A itself, as the
+product of the squared norms of the pivots (H. Aslaksen, "Quaternionic
+determinants", Math. Intelligencer 18 (1996)).
 """
 from __future__ import annotations
 
@@ -17,8 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, SingularError
-from .scalar import (GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, GaussianRational,
-                     Quaternion)
+from .scalar import GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, Quaternion
 
 
 class _Dense:
@@ -197,30 +198,6 @@ class CMatrix(_Dense):
         return QMatrix([[x.to_quaternion() for x in row]
                         for row in self.entries])
 
-    def det_bareiss(self) -> GaussianRational:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if not self.is_square:
-            raise ShapeError("determinant needs a square matrix")
-        n = self.n_rows
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = GR_ONE
-        for k in range(n - 1):
-            if m[k][k].is_zero:
-                swap = next((r for r in range(k + 1, n)
-                             if not m[r][k].is_zero), None)
-                if swap is None:
-                    return GR_ZERO
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = GR_ZERO
-            prev = m[k][k]
-        det = m[n - 1][n - 1]
-        return -det if sign < 0 else det
-
 
 class QMatrix(_Dense):
     """Dense matrix over exact quaternions."""
@@ -247,6 +224,12 @@ class QMatrix(_Dense):
                 or not {"n", "m", "entries"} <= set(obj)):
             raise ValueError("not a matrix object")
         entries = obj["entries"]
+        if (not isinstance(entries, list)
+                or not all(isinstance(row, list) for row in entries)):
+            raise ValueError("matrix entries must be a list of rows")
+        if not all(isinstance(obj[k], int) and not isinstance(obj[k], bool)
+                   for k in ("n", "m")):
+            raise ValueError("matrix dimensions must be integers")
         mat = cls([[Quaternion.from_json(x) for x in row] for row in entries])
         if (mat.n_rows, mat.n_cols) != (obj["n"], obj["m"]):
             raise ValueError("matrix dimensions disagree with entries")
@@ -293,16 +276,37 @@ def phi_embed(a: QMatrix) -> CMatrix:
 
 
 def qdet(a: QMatrix) -> Fraction:
-    """Determinant of a quaternionic matrix: det of its complex embedding.
+    """Study determinant of a quaternionic matrix: det of its complex embedding.
 
-    Always an exact nonnegative rational.
+    Eliminates on A directly with left row operations.  Row swaps and adding
+    a left multiple of one row to another leave the Study determinant
+    unchanged, so it is the product of |pivot|^2 over the triangular result.
+    Always an exact nonnegative rational; zero exactly when A is singular.
     """
     if not a.is_square:
         raise ShapeError("determinant needs a square matrix")
-    d = phi_embed(a).det_bareiss()
-    assert d.im == 0, "embedding determinant must be real"
-    assert d.re >= 0, "embedding determinant must be nonnegative"
-    return d.re
+    n = a.n_rows
+    rows = [list(row) for row in a.entries]
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n)
+                          if not rows[r][col].is_zero), None)
+        if pivot_row is None:
+            return Fraction(0)
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        top = rows[col]
+        pivot = top[col]
+        det *= pivot.norm_sq()
+        pinv = pivot.inverse()
+        live = [(j, top[j]) for j in range(col + 1, n) if not top[j].is_zero]
+        for row in rows[col + 1:]:
+            x = row[col]
+            if x.is_zero:
+                continue
+            factor = x * pinv
+            for j, y in live:
+                row[j] = row[j] - factor * y
+    return det
 
 
 def is_involution(g: QMatrix) -> bool:

@@ -19,8 +19,9 @@ from .canonical import JordanSpec, jordan_block, jordan_matrix
 from .classify import (inverse_pairing, neg_inverse_pairing,
                        odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
-                     NotSingleBlock, SingularError, SpecError)
-from .matrix import (CMatrix, QMatrix, block_diagonal, place_blocks, qdet)
+                     NotSingleBlock, ShapeError, SingularError, SpecError)
+from .matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
+                     is_skew_involution, place_blocks, qdet)
 from .scalar import (GR_I, GR_ONE, GR_ZERO, Q_J, GaussianRational,
                      class_rep, class_rep_neg_inverse, gr)
 
@@ -30,6 +31,9 @@ TARGET_NEG_INVERSE = "neg-inverse"
 FLAVOR_INVOLUTION = "involution"
 FLAVOR_SKEW = "skew-involution"
 FLAVOR_GENERAL = "general"
+
+TARGETS = (TARGET_INVERSE, TARGET_NEG_INVERSE)
+FLAVORS = (FLAVOR_INVOLUTION, FLAVOR_SKEW, FLAVOR_GENERAL)
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,13 @@ class Certificate:
     def from_json(cls, obj) -> "Certificate":
         if not isinstance(obj, dict) or not {"target", "flavor", "g"} <= set(obj):
             raise ValueError("not a certificate object")
+        if obj["target"] not in TARGETS:
+            raise ValueError(f"unknown certificate target {obj['target']!r}")
+        if obj["flavor"] not in FLAVORS:
+            raise ValueError(f"unknown certificate flavor {obj['flavor']!r}")
         checks = obj.get("checks", {})
+        if not isinstance(checks, dict):
+            raise ValueError("certificate checks must be an object")
         return cls(
             g=QMatrix.from_json(obj["g"]),
             target=obj["target"],
@@ -70,33 +80,61 @@ class Certificate:
         )
 
 
-def target_matrix(a: QMatrix, target: str) -> QMatrix:
-    """A^{-1} or -A^{-1}, the matrix the conjugation must land on."""
-    if target == TARGET_INVERSE:
-        return a.inverse()
-    if target == TARGET_NEG_INVERSE:
-        return -a.inverse()
-    raise DomainError(f"unknown target {target!r}")
+@dataclass(frozen=True)
+class VerifyReport:
+    """Outcome of the three certificate checks, each recomputed exactly."""
+
+    residual_zero: bool
+    flavor_verified: bool
+    det_one: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.residual_zero and self.flavor_verified and self.det_one
+
+    def to_json(self) -> dict:
+        return {
+            "residual_zero": self.residual_zero,
+            "flavor_verified": self.flavor_verified,
+            "det_one": self.det_one,
+            "ok": self.ok,
+        }
 
 
-def _flavor_holds(g: QMatrix, flavor: str) -> bool:
+def check_certificate(g: QMatrix, a: QMatrix, target: str,
+                      flavor: str) -> VerifyReport:
+    """Run the three certificate checks on g against A, exactly.
+
+    The residual is tested as A g A = g (target "inverse") or A g A = -g
+    ("neg-inverse"), which for invertible A says g A g^{-1} = +-A^{-1}
+    without forming A^{-1}; for singular A it fails whenever det g = 1.
+    The flavor check is g^2 = I or g^2 = -I, skipped only for "general".
+    """
+    if target not in TARGETS:
+        raise DomainError(f"unknown target {target!r}")
+    if flavor not in FLAVORS:
+        raise DomainError(f"unknown flavor {flavor!r}")
+    if not (a.is_square and g.is_square and a.n_rows == g.n_rows):
+        raise ShapeError("matrix and certificate sizes do not match")
+    residual_zero = a * g * a == (g if target == TARGET_INVERSE else -g)
     if flavor == FLAVOR_INVOLUTION:
-        return g * g == QMatrix.identity(g.n_rows)
-    if flavor == FLAVOR_SKEW:
-        return g * g == -QMatrix.identity(g.n_rows)
-    if flavor == FLAVOR_GENERAL:
-        return True
-    raise DomainError(f"unknown flavor {flavor!r}")
+        flavor_ok = is_involution(g)
+    elif flavor == FLAVOR_SKEW:
+        flavor_ok = is_skew_involution(g)
+    else:
+        flavor_ok = True
+    return VerifyReport(residual_zero=residual_zero,
+                        flavor_verified=flavor_ok, det_one=qdet(g) == 1)
 
 
 def certify(g: QMatrix, a: QMatrix, target: str, flavor: str) -> Certificate:
     """Check residual, flavor, and determinant; raise if anything fails."""
-    b = target_matrix(a, target)
-    if not (g * a - b * g).is_zero:
+    report = check_certificate(g, a, target, flavor)
+    if not report.residual_zero:
         raise CertificateError("conjugacy residual is nonzero")
-    if not _flavor_holds(g, flavor):
+    if not report.flavor_verified:
         raise CertificateError(f"conjugator is not a {flavor}")
-    if qdet(g) != 1:
+    if not report.det_one:
         raise CertificateError("conjugator determinant is not 1")
     return Certificate(g=g, target=target, flavor=flavor,
                        residual_zero=True, flavor_verified=True, det_one=True)
@@ -418,7 +456,7 @@ def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
     resolves to an involution when one exists, otherwise a skew-involution.
     Raises ``NotConstructible`` naming the failing criterion.
     """
-    if target not in (TARGET_INVERSE, TARGET_NEG_INVERSE):
+    if target not in TARGETS:
         raise DomainError(f"unknown target {target!r}")
     if flavor not in ("any", FLAVOR_INVOLUTION, FLAVOR_SKEW):
         raise DomainError(f"unknown flavor {flavor!r}")

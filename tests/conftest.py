@@ -6,7 +6,7 @@ import pytest
 
 from quatrev.canonical import JordanSpec
 from quatrev.matrix import CMatrix, QMatrix, qdet
-from quatrev.scalar import GaussianRational, Quaternion, gr
+from quatrev.scalar import GR_ONE, GR_ZERO, GaussianRational, Quaternion, gr
 
 # eigenvalue pool used by the sweep: real reciprocal pairs, units, and a
 # non-unit complex value whose inverse-class partner is in the pool too
@@ -69,6 +69,29 @@ def cofactor_det(c: CMatrix) -> GaussianRational:
     if total is None:
         return c.entry(0, 0) - c.entry(0, 0)
     return total
+
+
+def det_bareiss(c: CMatrix) -> GaussianRational:
+    """Fraction-free (Bareiss) elimination; independent oracle for ``qdet``."""
+    n = c.n_rows
+    m = [list(row) for row in c.entries]
+    sign = 1
+    prev = GR_ONE
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            swap = next((r for r in range(k + 1, n)
+                         if not m[r][k].is_zero), None)
+            if swap is None:
+                return GR_ZERO
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = GR_ZERO
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
 
 
 def sweep_blocks(max_total=SWEEP_MAX_TOTAL, pool=EIG_POOL):

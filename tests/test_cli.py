@@ -285,3 +285,53 @@ def test_missing_subcommand_is_usage_error():
 def test_unknown_flag_is_usage_error():
     code, _, _ = run("classify", "--no-such-flag")
     assert code == EXIT_PARSE
+
+
+def _certified_pair():
+    code, out, _ = run("certify", "--jordan", "[(2,1),(1/2,1)]",
+                       "--flavor", "involution", "--emit-matrix")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    return doc.pop("matrix"), doc
+
+
+def test_verify_rejects_unknown_target_or_flavor():
+    matrix, doc = _certified_pair()
+    for key in ("flavor", "target"):
+        bad = dict(doc, **{key: "bogus"})
+        code, out, err = run("verify", "--matrix", json.dumps(matrix),
+                             "--cert", json.dumps(bad))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "bogus" in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_rejects_malformed_matrix():
+    matrix, doc = _certified_pair()
+    bad_matrices = [
+        dict(matrix, entries=5),
+        dict(matrix, entries=[5, 6]),
+        dict(matrix, n=True),
+        dict(matrix, m="2"),
+    ]
+    for bad in bad_matrices:
+        code, out, err = run("verify", "--matrix", json.dumps(bad),
+                             "--cert", json.dumps(doc))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+    code, _, err = run("verify", "--matrix", json.dumps(matrix),
+                       "--cert", json.dumps(dict(doc, g=dict(doc["g"],
+                                                             entries=5))))
+    assert code == EXIT_PARSE and err.startswith("error: ")
+
+
+def test_verify_singular_matrix_reports_failure():
+    matrix, doc = _certified_pair()
+    singular = {"n": 2, "m": 2, "entries": [[["1", "0", "0", "0"]] * 2] * 2}
+    code, out, _ = run("verify", "--matrix", json.dumps(singular),
+                       "--cert", json.dumps(doc))
+    assert code == EXIT_VERIFY_FAILED
+    assert json.loads(out) == {"residual_zero": False, "flavor_verified": True,
+                               "det_one": True, "ok": False}

@@ -10,7 +10,7 @@ from quatrev.decompose import (Factorization, VerifyReport,
 from quatrev.errors import CertificateError, FlavorError
 from quatrev.matrix import QMatrix, is_involution, is_skew_involution
 from quatrev.reversers import Certificate, assemble_reverser
-from quatrev.scalar import gr
+from quatrev.scalar import gr, quat
 
 
 def build(spec_blocks, **kw):
@@ -110,3 +110,12 @@ def test_verified_factorizations_from_certificates():
         a, cert = build(blocks, **kw)
         f = factorizer(a, cert)
         assert f.s1 * f.s2 == a
+
+
+def test_verify_certificate_singular_matrix():
+    a = QMatrix([[quat(1), quat(0)], [quat(0), quat(0)]])
+    _, cert = build([(gr(2), 1), (gr("1/2"), 1)])
+    report = verify_certificate(a, cert)
+    assert report.residual_zero is False
+    assert report.ok is False
+    assert report.det_one is True

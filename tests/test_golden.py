@@ -1,0 +1,48 @@
+"""Golden CLI corpus: every case's stdout must match its recorded bytes.
+
+Each entry of ``golden/cases.json`` names an argv (``{inputs}`` expands to
+``golden/inputs``) and its exit code; ``golden/<name>.out`` holds the exact
+stdout.  The inputs are certificates of three specs, one per (target,
+flavor) kind, as ``certify`` writes them, the same pairs conjugated to
+dense S^{-1} A S, S^{-1} g S by a fixed random S with j and k parts, a
+skew certificate relabelled "general" and one with a tampered entry.
+After a deliberate output change, re-record with
+``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
+"""
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from quatrev.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def run_case(case):
+    argv = [a.replace("{inputs}", str(GOLDEN / "inputs"))
+            for a in case["argv"]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_stdout(case):
+    code, out = run_case(case)
+    assert code == case["exit"]
+    expected = (GOLDEN / f"{case['name']}.out").read_bytes()
+    assert out.encode("utf-8") == expected
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    for case in CASES:
+        code, out = run_case(case)
+        if code != case["exit"]:
+            sys.exit(f"{case['name']}: exit {code}, expected {case['exit']}")
+        (GOLDEN / f"{case['name']}.out").write_bytes(out.encode("utf-8"))

@@ -1,12 +1,15 @@
 """Exact matrix layer: arithmetic, inversion, embedding, determinant."""
 import pytest
 
-from conftest import cofactor_det, rand_invertible, rand_qmatrix, rng_for
-from quatrev.errors import ShapeError, SingularError
+from conftest import (cofactor_det, det_bareiss, rand_invertible,
+                      rand_qmatrix, rand_quat, rng_for, sweep_blocks)
+from quatrev.canonical import JordanSpec
+from quatrev.errors import NotConstructible, ShapeError, SingularError
 from quatrev.matrix import (CMatrix, QMatrix, block_diagonal,
                             conjugacy_residual, is_involution,
                             is_skew_involution, phi_embed, place_blocks,
                             qdet, toeplitz_build)
+from quatrev.reversers import assemble_reverser
 from quatrev.scalar import (GR_ONE, GR_ZERO, Q_I, Q_J, Q_ONE, Q_ZERO,
                             gr, quat)
 
@@ -112,7 +115,39 @@ def test_qdet_nonnegative_and_multiplicative():
 
 def test_bareiss_zero_determinant():
     m = CMatrix([[GR_ONE, GR_ONE], [GR_ONE, GR_ONE]])
-    assert m.det_bareiss() == GR_ZERO
+    assert det_bareiss(m) == GR_ZERO
+
+
+def test_qdet_against_bareiss_oracle():
+    rng = rng_for("qdet-bareiss")
+    # dense, with nonzero j and k parts throughout
+    for n in range(1, 7):
+        for _ in range(2):
+            m = rand_qmatrix(rng, n, -3, 3, 2)
+            assert qdet(m) == det_bareiss(phi_embed(m)).re
+    # singular over H: one column is another times a quaternion on the right
+    for n in range(2, 6):
+        m = rand_qmatrix(rng, n, -3, 3, 2)
+        src, dst = rng.sample(range(n), 2)
+        q = rand_quat(rng, -3, 3, 2)
+        rows = [list(row) for row in m.entries]
+        for row in rows:
+            row[dst] = row[src] * q
+        m = QMatrix(rows)
+        assert qdet(m) == 0 == det_bareiss(phi_embed(m)).re
+    # certificates of the exhaustive spec sweep
+    kinds = [("inverse", "involution"), ("inverse", "skew-involution"),
+             ("neg-inverse", "involution")]
+    blocks = sweep_blocks()
+    checked = 0
+    while checked < 50:
+        spec = JordanSpec.of(rng.choice(blocks))
+        try:
+            cert = assemble_reverser(spec, *rng.choice(kinds))
+        except NotConstructible:
+            continue
+        assert qdet(cert.g) == det_bareiss(phi_embed(cert.g)).re == 1
+        checked += 1
 
 
 def test_involution_predicates():

@@ -15,7 +15,7 @@ from quatrev.reversers import (Certificate, ReversibleShape, assemble_reverser,
                                shape_matrix, shape_reverser,
                                single_block_conjugator,
                                skew_reverser_pair, skew_reverser_unit_block,
-                               target_matrix, weyr_reverser)
+                               check_certificate, weyr_reverser)
 from quatrev.scalar import GR_I, Q_J, gr, quat
 
 
@@ -242,10 +242,23 @@ def test_certify_rejects_bad_residual():
         certify(QMatrix.identity(2), a, "inverse", "involution")
 
 
-def test_target_matrix():
-    a = jordan_matrix(JordanSpec.of([(gr(2), 1)]))
-    assert target_matrix(a, "inverse") == a.inverse()
-    assert target_matrix(a, "neg-inverse") == -(a.inverse())
+def test_check_certificate_targets():
+    a = jordan_matrix(JordanSpec.of([(gr(2), 1), (gr("1/2"), 1)]))
+    swap = QMatrix([[quat(0), quat(1)], [quat(1), quat(0)]])
+    report = check_certificate(swap, a, "inverse", "involution")
+    assert (report.residual_zero, report.flavor_verified,
+            report.det_one) == (True, True, True)
+    # the same g lands on A^{-1}, not on -A^{-1}
+    report = check_certificate(swap, a, "neg-inverse", "general")
+    assert not report.residual_zero and report.flavor_verified
+    b = jordan_matrix(JordanSpec.of([(gr(2), 1), (gr("-1/2"), 1)]))
+    report = check_certificate(swap, b, "neg-inverse", "involution")
+    assert report.ok
+    assert not check_certificate(swap, b, "inverse", "involution").ok
+    with pytest.raises(DomainError):
+        check_certificate(swap, a, "bogus", "involution")
+    with pytest.raises(DomainError):
+        check_certificate(swap, a, "inverse", "bogus")
 
 
 def test_assemble_strongly_reversible_mixed():
