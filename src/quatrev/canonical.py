@@ -35,7 +35,8 @@ class JordanSpec:
                 lam = gr(lam)
             if lam.is_zero:
                 raise SpecError("Jordan blocks must have nonzero eigenvalue")
-            if not isinstance(size, int) or size < 1:
+            if (not isinstance(size, int) or isinstance(size, bool)
+                    or size < 1):
                 raise SpecError("block sizes must be positive integers")
             normalized.append((class_rep(lam), size))
         if not normalized:

@@ -12,6 +12,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from .canonical import JordanSpec, jordan_matrix
 from .classify import classify_psl
 from .decompose import (product_involution_skew, product_two_involutions,
@@ -58,6 +60,7 @@ def _load_json(arg: str):
 
 
 _COMPACT_BLOCK = re.compile(r"\(([^()]*)\)")
+_COMPACT_BODY = re.compile(r"\s*\([^()]*\)\s*(?:,\s*\([^()]*\)\s*)*")
 
 
 def _parse_spec(arg: str) -> JordanSpec:
@@ -71,6 +74,9 @@ def _parse_spec(arg: str) -> JordanSpec:
     body = text
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
+    if body.strip() and not _COMPACT_BODY.fullmatch(body):
+        raise _CliParseError(f"bad spec literal {text!r}: expected "
+                             "comma-separated (eigenvalue, size) blocks")
     blocks = []
     for match in _COMPACT_BLOCK.finditer(body):
         item = match.group(1)
@@ -140,7 +146,10 @@ def cmd_classify(args) -> int:
         f = float_matrix_from_json(_load_json(args.matrix))
     except ValueError as exc:
         raise _CliParseError(str(exc)) from exc
-    out = classify_numeric(f, _numeric_config(args))
+    # an overflow or NaN inside the float pipeline is a recovery failure,
+    # not a warning followed by a result
+    with np.errstate(over="raise", invalid="raise"):
+        out = classify_numeric(f, _numeric_config(args))
     _emit(out, args.out)
     return EXIT_OK
 
@@ -297,7 +306,8 @@ def main(argv=None) -> int:
     except _CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PairingError, RankProfileError, SingularError) as exc:
+    except (PairingError, RankProfileError, SingularError,
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric recovery failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (NotConstructible, FlavorError) as exc:

@@ -3,9 +3,10 @@
 From a conjugator g carrying A to A^{-1}: if g is an involution then
 A = g * (gA) with both factors involutions; if g is a skew-involution then
 A = (-g) * (gA) with both factors squaring to -I.  From an involution h
-carrying A to -A^{-1}: A = (-h^{-1} A^{-1}) * h with the first factor a
-skew-involution and the second an involution.  Each factorization
-re-verifies the factor squares and the product before returning.
+carrying A to -A^{-1}: A = (Ah) * h with the first factor a skew-involution
+(hAh = -A^{-1} gives (Ah)^2 = -I) and the second an involution.  Each
+factorization re-verifies the factor squares and the product before
+returning.
 """
 from __future__ import annotations
 
@@ -85,15 +86,14 @@ def product_two_skew_involutions(a: QMatrix, cert: Certificate) -> Factorization
 
 
 def product_involution_skew(a: QMatrix, cert: Certificate) -> Factorization:
-    """A = (-h^{-1} A^{-1}) * h with h an involution carrying A to -A^{-1}."""
+    """A = (Ah) * h with h an involution carrying A to -A^{-1}."""
     if cert.target != TARGET_NEG_INVERSE or cert.flavor != FLAVOR_INVOLUTION:
         raise FlavorError("need an involution certificate for the negated "
                           "inverse")
     h = cert.g
     if h.n_rows != a.n_rows:
         raise ShapeError("certificate size does not match the matrix")
-    s1 = -(h.inverse() * a.inverse())
-    return _checked(s1, h, a, SQUARE_MINUS, SQUARE_PLUS)
+    return _checked(a * h, h, a, SQUARE_MINUS, SQUARE_PLUS)
 
 
 def verify_certificate(a: QMatrix, cert: Certificate) -> VerifyReport:

@@ -12,18 +12,53 @@ determinant, is the determinant function on quaternionic matrices; ``qdet``
 computes it exactly by quaternion Gaussian elimination on A itself, as the
 product of the squared norms of the pivots (H. Aslaksen, "Quaternionic
 determinants", Math. Intelligencer 18 (1996)).
+
+The product works on integers, as FLINT's ``fmpq_mat_mul`` does: each row
+of the left factor and each column of the right factor is brought once to
+the lcm of its component denominators, every output entry accumulates its
+Hamilton products of integer 4-tuples in plain ints (a complex entry is
+(re, im, 0, 0); zero entries are skipped), and each nonzero output
+component is normalised by a single Fraction.  The entries come out as the
+same reduced Fractions an entrywise product gives.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, SingularError
-from .scalar import GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, Quaternion
+from .scalar import (GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, GaussianRational,
+                     Quaternion)
+
+_F_ZERO = Fraction(0)
+
+
+def _integer_parts(entries, zero, parts):
+    """Scale a row or column to its common denominator, once.
+
+    Returns (den, ints): ``ints`` holds each entry's four components times
+    ``den`` as plain ints, or None for a zero entry.
+    """
+    split = [None if x is zero else parts(x) for x in entries]
+    den = math.lcm(*(f.denominator for c in split if c is not None
+                     for f in c))
+    ints = []
+    for comps in split:
+        if comps is None or not any(comps):
+            ints.append(None)
+            continue
+        a, b, c, d = comps
+        ints.append((a.numerator * (den // a.denominator),
+                     b.numerator * (den // b.denominator),
+                     c.numerator * (den // c.denominator),
+                     d.numerator * (den // d.denominator)))
+    return den, ints
 
 
 class _Dense:
-    """Shared implementation; subclasses pin the scalar zero/one."""
+    """Shared implementation; subclasses pin the scalar zero/one and how an
+    entry splits into, and is built from, four rational components."""
 
     __slots__ = ("n_rows", "n_cols", "entries")
 
@@ -124,19 +159,33 @@ class _Dense:
             raise ShapeError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} "
                 f"by {other.n_rows}x{other.n_cols}")
-        cols = other.transpose().entries
-        z = self._szero
+        z, parts, build = self._szero, self._parts, self._build
+        rows = [_integer_parts(row, z, parts) for row in self.entries]
+        cols = [_integer_parts(col, z, parts) for col in zip(*other.entries)]
         out = []
-        for row in self.entries:
-            live = [(j, a) for j, a in enumerate(row) if not a.is_zero]
+        for row_den, row in rows:
+            live = [(j, p) for j, p in enumerate(row) if p is not None]
             out_row = []
-            for col in cols:
-                acc = z
-                for j, a in live:
-                    b = col[j]
-                    if not b.is_zero:
-                        acc = acc + a * b
-                out_row.append(acc)
+            for col_den, col in cols:
+                s0 = s1 = s2 = s3 = 0
+                for j, (p0, p1, p2, p3) in live:
+                    q = col[j]
+                    if q is None:
+                        continue
+                    q0, q1, q2, q3 = q
+                    s0 += p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
+                    s1 += p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
+                    s2 += p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
+                    s3 += p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
+                if s0 or s1 or s2 or s3:
+                    den = row_den * col_den
+                    out_row.append(build(
+                        Fraction(s0, den) if s0 else _F_ZERO,
+                        Fraction(s1, den) if s1 else _F_ZERO,
+                        Fraction(s2, den) if s2 else _F_ZERO,
+                        Fraction(s3, den) if s3 else _F_ZERO))
+                else:
+                    out_row.append(z)
             out.append(out_row)
         return type(self)(out)
 
@@ -191,6 +240,14 @@ class CMatrix(_Dense):
     _szero = GR_ZERO
     _sone = GR_ONE
 
+    @staticmethod
+    def _parts(x):
+        return (x.re, x.im, _F_ZERO, _F_ZERO)
+
+    @staticmethod
+    def _build(re, im, _j, _k):
+        return GaussianRational(re, im)
+
     def conjugate(self) -> "CMatrix":
         return self.map_entries(lambda x: x.conjugate())
 
@@ -204,6 +261,11 @@ class QMatrix(_Dense):
 
     _szero = Q_ZERO
     _sone = Q_ONE
+    _build = Quaternion
+
+    @staticmethod
+    def _parts(x):
+        return (x.a, x.b, x.c, x.d)
 
     @property
     def is_complex(self) -> bool:

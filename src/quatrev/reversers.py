@@ -258,17 +258,18 @@ def shape_reverser(shape: ReversibleShape, param: GaussianRational,
         g = block_reverser(param, n).to_quaternion()
         return certify(g, a, TARGET_INVERSE, FLAVOR_INVOLUTION)
     if shape is ReversibleShape.RECIPROCAL_PAIR:
-        omega = block_reverser(param, n)
+        # the second block is the literal J(1/lam), so no j even for a
+        # non-real lam; Omega(lam)^{-1} = Omega(1/lam)
         g = place_blocks(2 * n, [
-            (0, n, omega.to_quaternion()),
-            (n, 0, omega.inverse().to_quaternion()),
+            (0, n, block_reverser(param, n).to_quaternion()),
+            (n, 0, block_reverser(param.inverse(), n).to_quaternion()),
         ])
         return certify(g, a, TARGET_INVERSE, FLAVOR_INVOLUTION)
     if shape is ReversibleShape.UNIT_BLOCK:
         g = block_reverser(param, n).to_quaternion().scale_right(Q_J)
         return certify(g, a, TARGET_INVERSE, FLAVOR_SKEW)
-    b = block_reverser(param, n).to_quaternion().scale_right(Q_J)
-    g = place_blocks(2 * n, [(0, n, b), (n, 0, b.inverse())])
+    top, bottom = _involution_pair(param, n)
+    g = place_blocks(2 * n, [(0, n, top), (n, 0, bottom)])
     return certify(g, a, TARGET_INVERSE, FLAVOR_INVOLUTION)
 
 
@@ -427,19 +428,20 @@ def _strong_pairing(spec: JordanSpec):
 
 
 def _involution_pair(lam1: GaussianRational, s: int):
+    """Antidiagonal blocks (B, B^{-1}) with B = Omega(lam1), or Omega(lam1) j
+    for a non-real lam1; the inverses are closed forms, Omega(lam)^{-1} =
+    Omega(1/lam) and (M j)^{-1} = -j M^{-1}."""
+    top = block_reverser(lam1, s).to_quaternion()
+    inv = block_reverser(lam1.inverse(), s).to_quaternion()
     if lam1.im == 0:
-        t = block_reverser(lam1, s).to_quaternion()
-        return t, t.inverse()
-    b = block_reverser(lam1, s).to_quaternion().scale_right(Q_J)
-    return b, b.inverse()
+        return top, inv
+    return top.scale_right(Q_J), inv.scale_left(-Q_J)
 
 
 def _skew_pair(lam1: GaussianRational, s: int):
-    if lam1.im == 0:
-        t = block_reverser(lam1, s)
-        return t.to_quaternion(), (-t.inverse()).to_quaternion()
-    b = block_reverser(lam1, s).to_quaternion().scale_right(Q_J)
-    return b, -b.inverse()
+    """Antidiagonal blocks (B, -B^{-1}), B as in ``_involution_pair``."""
+    top, inv = _involution_pair(lam1, s)
+    return top, -inv
 
 
 def _neg_pair(lam1: GaussianRational, lam2: GaussianRational, s: int):

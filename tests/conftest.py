@@ -50,6 +50,23 @@ def rand_invertible(rng, n, lo=-2, hi=2) -> QMatrix:
             return m
 
 
+def naive_mul(x, y):
+    """Entrywise Fraction-loop product; independent oracle for ``*``."""
+    z = x._szero
+    cols = y.transpose().entries
+    out = []
+    for row in x.entries:
+        out_row = []
+        for col in cols:
+            acc = z
+            for a, b in zip(row, col):
+                if not (a.is_zero or b.is_zero):
+                    acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return type(x)(out)
+
+
 def cofactor_det(c: CMatrix) -> GaussianRational:
     """Naive Laplace expansion; independent check for the fast determinant."""
     n = c.n_rows

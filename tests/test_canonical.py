@@ -41,6 +41,8 @@ def test_spec_rejects_bad_blocks():
         JordanSpec.of([(gr(0), 2)])
     with pytest.raises(SpecError):
         JordanSpec.of([(gr(1), 0)])
+    with pytest.raises(SpecError):
+        JordanSpec.of([(gr(1), True)])
 
 
 def test_spec_classes_and_partition():

@@ -335,3 +335,72 @@ def test_verify_singular_matrix_reports_failure():
     assert code == EXIT_VERIFY_FAILED
     assert json.loads(out) == {"residual_zero": False, "flavor_verified": True,
                                "det_one": True, "ok": False}
+
+
+def _one_line_error(err):
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_compact_spec_must_be_blocks_only():
+    for text in ("[(2,1) junk (1/2,1)]", "[(2,1)(1/2,1)]", "[(2,1),]",
+                 "[(2,1)],(1/2,1)", "[,(2,1)]"):
+        code, out, err = run("classify", "--jordan", text)
+        assert code == EXIT_PARSE, text
+        assert out == ""
+        _one_line_error(err)
+    code, out, _ = run("classify", "--jordan", "[ (2, 1) , (1/2,1) ]")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["spec"]["blocks"]) == 2
+
+
+def test_spec_json_rejects_bool_size():
+    text = '{"blocks": [{"re": "1", "im": "0", "size": true}]}'
+    code, out, err = run("classify", "--jordan", text)
+    assert code == EXIT_PARSE and out == ""
+    _one_line_error(err)
+    assert run("certify", "--jordan", text)[0] == EXIT_PARSE
+
+
+def test_classify_non_finite_float_matrix(tmp_path):
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 1, "entries": [[[%s, 0, 0, 0]]]}' % literal)
+        code, out, err = run("classify", "--matrix", str(path))
+        assert code == EXIT_PARSE and out == ""
+        _one_line_error(err)
+        assert "finite" in err
+
+
+def test_classify_malformed_float_fields():
+    for text in ('{"n": [1], "entries": [[[1, 0, 0, 0]]]}',
+                 '{"n": null, "entries": [[[1, 0, 0, 0]]]}',
+                 '{"n": 1e400, "entries": [[[1, 0, 0, 0]]]}',
+                 '{"n": 1, "entries": [[[{"a": 1}, 0, 0, 0]]]}',
+                 '{"entries": 7}'):
+        code, out, err = run("classify", "--matrix", text)
+        assert code == EXIT_PARSE, text
+        assert out == ""
+        _one_line_error(err)
+
+
+def test_classify_overflowing_float_matrix(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 1, "entries": [[[1e308, 0, 0, 0]]]}')
+    code, out, err = run("classify", "--matrix", str(path))
+    assert code == EXIT_NUMERIC and out == ""
+    _one_line_error(err)
+
+
+def test_linalg_failure_is_a_numeric_exit(monkeypatch):
+    import quatrev.cli
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(quatrev.cli, "classify_numeric", fail)
+    f_json = json.dumps(float_matrix_to_json(np.ones((1, 1, 4))))
+    code, out, err = run("classify", "--matrix", f_json)
+    assert code == EXIT_NUMERIC and out == ""
+    _one_line_error(err)
+    assert "SVD did not converge" in err

@@ -9,7 +9,8 @@ from quatrev.decompose import (Factorization, VerifyReport,
                                verify_certificate)
 from quatrev.errors import CertificateError, FlavorError
 from quatrev.matrix import QMatrix, is_involution, is_skew_involution
-from quatrev.reversers import Certificate, assemble_reverser
+from quatrev.reversers import (Certificate, FLAVOR_INVOLUTION,
+                               TARGET_NEG_INVERSE, assemble_reverser)
 from quatrev.scalar import gr, quat
 
 
@@ -119,3 +120,14 @@ def test_verify_certificate_singular_matrix():
     assert report.residual_zero is False
     assert report.ok is False
     assert report.det_one is True
+
+
+def test_product_involution_skew_singular_certificate():
+    # s1 = A h needs no inverse: a singular h is caught by the square checks
+    a, _ = build([(gr(0, 1), 2)], target="neg-inverse")
+    h = QMatrix([[quat(1), quat(1)], [quat(1), quat(1)]])
+    cert = Certificate(g=h, target=TARGET_NEG_INVERSE,
+                       flavor=FLAVOR_INVOLUTION, residual_zero=True,
+                       flavor_verified=True, det_one=True)
+    with pytest.raises(CertificateError):
+        product_involution_skew(a, cert)

@@ -1,7 +1,9 @@
 """Exact matrix layer: arithmetic, inversion, embedding, determinant."""
+from fractions import Fraction
+
 import pytest
 
-from conftest import (cofactor_det, det_bareiss, rand_invertible,
+from conftest import (cofactor_det, det_bareiss, naive_mul, rand_invertible,
                       rand_qmatrix, rand_quat, rng_for, sweep_blocks)
 from quatrev.canonical import JordanSpec
 from quatrev.errors import NotConstructible, ShapeError, SingularError
@@ -11,7 +13,7 @@ from quatrev.matrix import (CMatrix, QMatrix, block_diagonal,
                             qdet, toeplitz_build)
 from quatrev.reversers import assemble_reverser
 from quatrev.scalar import (GR_ONE, GR_ZERO, Q_I, Q_J, Q_ONE, Q_ZERO,
-                            gr, quat)
+                            GaussianRational, Quaternion, gr, quat)
 
 
 def qm(rows):
@@ -199,3 +201,72 @@ def test_cmatrix_conjugate_transpose_interplay():
     assert c.conjugate().conjugate() == c
     assert c.transpose().transpose() == c
     assert c.conjugate().transpose() == c.transpose().conjugate()
+
+
+# -- the integer product kernel against the entrywise oracle -------------
+
+
+def _hostile_fraction(rng):
+    """Mostly zero, else a signed fraction with a small or ~2^60 denominator."""
+    if rng.random() < 0.3:
+        return Fraction(0)
+    num = rng.choice([rng.randint(-9, 9), rng.randint(-2 ** 62, 2 ** 62)])
+    den = rng.choice([1, 2, 3, 7, 2 ** 60, 2 ** 60 + 1, 3 ** 38])
+    return Fraction(num, den)
+
+
+def _hostile_qmatrix(rng, n, m):
+    return QMatrix([[Q_ZERO if rng.random() < 0.25 else
+                     Quaternion(*(_hostile_fraction(rng) for _ in range(4)))
+                     for _ in range(m)] for _ in range(n)])
+
+
+def test_product_matches_oracle_dense_quaternion():
+    rng = rng_for("kernel-dense")
+    for n in (1, 2, 3, 5, 7):
+        for _ in range(4):
+            a, b = _hostile_qmatrix(rng, n, n), _hostile_qmatrix(rng, n, n)
+            assert a * b == naive_mul(a, b)
+            assert b * a == naive_mul(b, a)
+
+
+def test_product_matches_oracle_rectangular():
+    rng = rng_for("kernel-rect")
+    for (n, k, m) in ((4, 1, 4), (1, 4, 1), (3, 5, 2), (5, 1, 1), (1, 1, 6)):
+        a, b = _hostile_qmatrix(rng, n, k), _hostile_qmatrix(rng, k, m)
+        prod = a * b
+        assert (prod.n_rows, prod.n_cols) == (n, m)
+        assert prod == naive_mul(a, b)
+
+
+def test_product_matches_oracle_complex():
+    rng = rng_for("kernel-complex")
+    for (n, k, m) in ((1, 1, 1), (3, 3, 3), (6, 6, 6), (3, 5, 2)):
+        a, b = (CMatrix([[GaussianRational(_hostile_fraction(rng),
+                                           _hostile_fraction(rng))
+                          for _ in range(cols)] for _ in range(rows)])
+                for rows, cols in ((n, k), (k, m)))
+        assert a * b == naive_mul(a, b)
+        assert (a.to_quaternion() * b.to_quaternion()
+                == naive_mul(a, b).to_quaternion())
+
+
+def test_product_zero_entries_are_the_shared_zero():
+    a = QMatrix([[quat(1, 2), Q_ZERO], [Q_ZERO, quat(0, 0, 3)]])
+    prod = a * QMatrix([[quat(0, 0, 0, 0), quat(1)], [quat(1), Q_ZERO]])
+    assert prod.entry(0, 0) is Q_ZERO and prod.entry(1, 1) is Q_ZERO
+    cancel = QMatrix([[Q_ONE, Q_ONE]]) * QMatrix([[Q_ONE], [-Q_ONE]])
+    assert cancel.entry(0, 0) is Q_ZERO
+    assert (CMatrix([[GR_ONE]]) * CMatrix([[GR_ZERO]])).entry(0, 0) is GR_ZERO
+
+
+def test_product_of_mixed_types_is_not_implemented():
+    q, c = QMatrix.identity(2), CMatrix.identity(2)
+    assert q.__mul__(c) is NotImplemented
+    assert c.__mul__(q) is NotImplemented
+    with pytest.raises(TypeError):
+        q * c
+    with pytest.raises(ShapeError):
+        QMatrix.zeros(2, 3) * QMatrix.zeros(2, 3)
+    with pytest.raises(ShapeError):
+        CMatrix.zeros(1, 2) * CMatrix.zeros(1, 2)

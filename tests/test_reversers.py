@@ -15,7 +15,8 @@ from quatrev.reversers import (Certificate, ReversibleShape, assemble_reverser,
                                shape_matrix, shape_reverser,
                                single_block_conjugator,
                                skew_reverser_pair, skew_reverser_unit_block,
-                               check_certificate, weyr_reverser)
+                               check_certificate, weyr_reverser,
+                               _involution_pair, _skew_pair)
 from quatrev.scalar import GR_I, Q_J, gr, quat
 
 
@@ -51,6 +52,19 @@ def test_block_reverser_identities_random():
             jinv_blk = jordan_block(lam.inverse(), n).to_cmatrix()
             assert om * jinv_blk == j.inverse() * om
             assert om.inverse() == block_reverser(lam.inverse(), n)
+
+
+@pytest.mark.parametrize("lam", [gr(2), gr("-1/3"), gr(-1), gr(1), gr(0, 1),
+                                 gr("3/5", "4/5"), gr("-4/5", "3/5"),
+                                 gr(1, 1), gr("1/2", "1/2"), gr(0, 3)])
+def test_pair_blocks_closed_form_inverses(lam):
+    # assembly writes B^{-1} from Omega(lam)^{-1} = Omega(1/lam) and
+    # (M j)^{-1} = -j M^{-1}; check both against elimination
+    for n in (1, 2, 5, 8):
+        top, bottom = _involution_pair(lam, n)
+        assert bottom == top.inverse()
+        skew_top, skew_bottom = _skew_pair(lam, n)
+        assert skew_top == top and skew_bottom == -top.inverse()
 
 
 def test_block_reverser_rejects_zero():
