@@ -34,9 +34,9 @@ True
 from .scalar import (GaussianRational, Quaternion, Rational, class_rep,
                      class_rep_inverse, class_rep_neg_inverse, gr,
                      parse_complex, parse_rational, quat)
-from .matrix import (CMatrix, QMatrix, block_diagonal, conjugacy_residual,
-                     is_involution, is_skew_involution, phi_embed,
-                     place_blocks, qdet, toeplitz_build)
+from .matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
+                     is_skew_involution, phi_embed, place_blocks, qdet,
+                     toeplitz_build)
 from .partitions import (Partition, WeyrStructure, parse_partition,
                          weyr_structure_of)
 from .canonical import (JordanSpec, basic_weyr_matrix, jordan_block,
@@ -46,10 +46,8 @@ from .classify import (Classification, classify_psl, inverse_pairing,
                        is_neg_reversible, is_reversible,
                        is_strongly_reversible, neg_inverse_pairing)
 from .reversers import (Certificate, ReversibleShape, assemble_reverser,
-                        block_reverser, certify, neg_reverser_i,
-                        neg_reverser_pair, shape_matrix, shape_reverser,
-                        single_block_conjugator, skew_reverser_pair,
-                        skew_reverser_unit_block, weyr_reverser)
+                        block_reverser, certify, neg_reverser_i_matrix,
+                        shape_matrix, shape_reverser, weyr_reverser)
 from .decompose import (Factorization, VerifyReport, product_involution_skew,
                         product_two_involutions, product_two_skew_involutions,
                         verify_certificate)

@@ -13,8 +13,9 @@ linear group, and then it is automatically strongly reversible there.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from .canonical import JordanSpec
 from .scalar import (GR_I, GaussianRational, class_rep_inverse,
@@ -44,15 +45,21 @@ def _is_unit(lam: GaussianRational) -> bool:
     return lam.norm_sq() == 1
 
 
-def _pair_blocks(spec: JordanSpec,
-                 exempt: Callable[[GaussianRational], bool],
-                 partner_of: Callable[[GaussianRational], GaussianRational],
+def _pair_blocks(blocks: Sequence[tuple],
+                 exempt: Callable[[Any], bool],
+                 partner_of: Callable[[Any], Any],
+                 same: Callable[[Any, Any], bool] = operator.eq,
                  ) -> tuple[Optional[Pairing], Optional[str]]:
-    """Greedy pairing over canonical order; returns (pairing, failure)."""
-    taken = [False] * len(spec.blocks)
+    """Greedy pairing of (eigenvalue, size) blocks in the given order.
+
+    Each block that is not ``exempt`` takes the first later free block of
+    its size whose eigenvalue is ``same`` as its partner value; returns
+    (pairing, failure).  The float front end passes a tolerance test.
+    """
+    taken = [False] * len(blocks)
     pairs = []
     singletons = []
-    for idx, (lam, size) in enumerate(spec.blocks):
+    for idx, (lam, size) in enumerate(blocks):
         if taken[idx]:
             continue
         if exempt(lam):
@@ -61,9 +68,9 @@ def _pair_blocks(spec: JordanSpec,
             continue
         want = partner_of(lam)
         match = next(
-            (j for j in range(idx + 1, len(spec.blocks))
+            (j for j in range(idx + 1, len(blocks))
              if not taken[j]
-             and spec.blocks[j][0] == want and spec.blocks[j][1] == size),
+             and blocks[j][1] == size and same(blocks[j][0], want)),
             None)
         if match is None:
             return None, (f"block J({lam},{size}) has no partner "
@@ -75,12 +82,12 @@ def _pair_blocks(spec: JordanSpec,
 
 def inverse_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[str]]:
     """Pair non-unit blocks with their inverse class at equal size."""
-    return _pair_blocks(spec, _is_unit, class_rep_inverse)
+    return _pair_blocks(spec.blocks, _is_unit, class_rep_inverse)
 
 
 def neg_inverse_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[str]]:
     """Pair blocks with the negated-inverse class; only i is self-paired."""
-    return _pair_blocks(spec, lambda lam: lam == GR_I,
+    return _pair_blocks(spec.blocks, lambda lam: lam == GR_I,
                         class_rep_neg_inverse)
 
 

@@ -26,7 +26,7 @@ from .partitions import parse_partition, weyr_structure_of
 from .reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
                         TARGET_NEG_INVERSE, assemble_reverser, block_reverser,
                         Certificate)
-from .scalar import parse_complex
+from .scalar import GaussianRational, parse_complex, parse_rational
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -99,10 +99,10 @@ def _parse_scalar(text: str):
     """Accept "re,im" rational pairs or compact complex literals."""
     try:
         if "," in text:
-            re_part, im_part = text.split(",", 1)
-            return parse_complex(f"{re_part.strip()}+{im_part.strip()}i"
-                                 if not im_part.strip().startswith("-")
-                                 else f"{re_part.strip()}{im_part.strip()}i")
+            halves = ["".join(half.split()) for half in text.split(",", 1)]
+            if not all(halves):
+                raise ValueError("empty real or imaginary part")
+            return GaussianRational(*(parse_rational(h) for h in halves))
         return parse_complex(text)
     except ValueError as exc:
         raise _CliParseError(f"bad scalar literal {text!r}: {exc}") from exc

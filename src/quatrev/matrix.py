@@ -189,12 +189,6 @@ class _Dense:
             out.append(out_row)
         return type(self)(out)
 
-    def scale_left(self, s):
-        return self.map_entries(lambda x: s * x)
-
-    def scale_right(self, s):
-        return self.map_entries(lambda x: x * s)
-
     def inverse(self):
         """Exact inverse by elimination with left-multiplying row operations."""
         if not self.is_square:
@@ -377,17 +371,6 @@ def is_involution(g: QMatrix) -> bool:
 
 def is_skew_involution(g: QMatrix) -> bool:
     return g.is_square and g * g == -QMatrix.identity(g.n_rows)
-
-
-def conjugacy_residual(g: QMatrix, a: QMatrix, b: QMatrix) -> QMatrix:
-    """Residual g*A - B*g; zero iff g A g^{-1} = B (g must be invertible)."""
-    if not (g.is_square and a.is_square and b.is_square):
-        raise ShapeError("conjugacy residual needs square matrices")
-    if not g.n_rows == a.n_rows == b.n_rows:
-        raise ShapeError("conjugacy residual needs equal sizes")
-    if qdet(g) == 0:
-        raise SingularError("conjugating matrix is singular")
-    return g * a - b * g
 
 
 def toeplitz_build(coeffs: Sequence[Quaternion]) -> QMatrix:

@@ -352,27 +352,12 @@ def classify_approximate(spec_classes: Sequence[tuple[complex, int]],
     def near(x, y):
         return abs(x - y) <= tol
 
-    def paired(partner_fn, exempt_fn):
-        taken = [False] * len(spec_classes)
-        for idx, (z, size) in enumerate(spec_classes):
-            if taken[idx]:
-                continue
-            if exempt_fn(z):
-                taken[idx] = True
-                continue
-            want = partner_fn(z)
-            match = next((j for j in range(len(spec_classes))
-                          if j != idx and not taken[j]
-                          and spec_classes[j][1] == size
-                          and near(spec_classes[j][0], want)), None)
-            if match is None:
-                return False
-            taken[idx] = taken[match] = True
-        return True
-
-    reversible = paired(lambda z: rep(1 / z), is_unit)
-    neg = paired(lambda z: rep(-1 / z), lambda z: near(z, 1j))
-    odd_units = False
+    inv_pairing, _ = _classify._pair_blocks(
+        spec_classes, is_unit, lambda z: rep(1 / z), near)
+    neg_pairing, _ = _classify._pair_blocks(
+        spec_classes, lambda z: near(z, 1j), lambda z: rep(-1 / z), near)
+    reversible = inv_pairing is not None
+    neg = neg_pairing is not None
     counts: dict[tuple[float, float, int], int] = {}
     for z, size in spec_classes:
         if is_unit(z) and z.imag > tol:

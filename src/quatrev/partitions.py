@@ -2,10 +2,9 @@
 
 A partition stores its parts in non-increasing order; the exponent form
 groups equal parts as [d1^t1, ..., ds^ts] with d1 > ... > ds.  Conjugation
-is computed two independent ways — by column counting and by the closed
-form on the exponent representation — and the two are asserted equal on
-every call.  The conjugate partition is also the Weyr structure of a
-nilpotent map whose Jordan block sizes are the original parts.
+counts columns of the Young diagram.  The conjugate partition is also the
+Weyr structure of a nilpotent map whose Jordan block sizes are the original
+parts.
 """
 from __future__ import annotations
 
@@ -58,40 +57,12 @@ class Partition:
         return tuple((d, t) for d, t in out)
 
     def conjugate(self) -> "Partition":
-        by_count = conjugate_by_counting(self)
-        by_form = conjugate_closed_form(self)
-        assert by_count == by_form, "conjugate computations disagree"
-        return by_count
+        """Column counting: part j of the conjugate is #{i : parts[i] >= j}."""
+        return Partition(tuple(sum(1 for part in self.parts if part >= j)
+                               for j in range(1, self.parts[0] + 1)))
 
     def __str__(self) -> str:
         return "[" + ",".join(f"{d}^{t}" for d, t in self.exponent_form) + "]"
-
-
-def conjugate_by_counting(p: Partition) -> Partition:
-    """Column counting: part j of the conjugate is #{i : parts[i] >= j}."""
-    return Partition(tuple(sum(1 for part in p.parts if part >= j)
-                           for j in range(1, p.parts[0] + 1)))
-
-
-def conjugate_closed_form(p: Partition) -> Partition:
-    """Closed form on the exponent representation.
-
-    With p = [d1^t1, ..., ds^ts] (d1 > ... > ds), the conjugate is
-    [(t1+...+ts)^(ds), (t1+...+t_{s-1})^(d_{s-1}-d_s), ..., (t1)^(d1-d2)].
-    """
-    form = p.exponent_form
-    s = len(form)
-    prefix = []
-    acc = 0
-    for _, t in form:
-        acc += t
-        prefix.append(acc)
-    pairs = []
-    for idx in range(s - 1, -1, -1):
-        d = form[idx][0]
-        d_next = form[idx + 1][0] if idx + 1 < s else 0
-        pairs.append((prefix[idx], d - d_next))
-    return Partition.from_exponents(pairs)
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,44 @@
 """Explicit conjugators carrying an element to its inverse or negated inverse.
 
-The basic building block is an upper-triangular matrix built by a
-second-order recurrence from the bottom row; it intertwines J(1/lam, n)
-with J(lam, n)^{-1} and its inverse is the same matrix at 1/lam.  Block
-constructions stack these along antidiagonals for paired blocks, multiply
-by j for non-real unit-modulus classes, and use an explicit Jordan-chain
-change of basis for negated-inverse pairs.  Every constructor returns a
-``Certificate`` that has already verified its residual, its flavor
-(involution or skew-involution), and determinant one.
+The basic building block is Omega(lam), an upper-triangular matrix built by
+a second-order recurrence from the bottom row; it intertwines J(1/lam, n)
+with J(lam, n)^{-1} and its inverse is the same matrix at 1/lam.  Every
+conjugator is a direct sum over single blocks and inverse-partner pairs of
+blocks, read from one table keyed by (target, flavor):
+
+    target       block                       B           partner block
+    inverse      pair, partner 1/lam1        Omega       +-Omega(1/lam1)
+    inverse      pair, partner conj(1/lam1)  Omega j     -+j Omega(1/lam1)
+    inverse      single +-1, involution      Omega       -
+    inverse      single, skew-involution     Omega j     -
+    neg-inverse  pair (partner -1/lam1)      Omega D     D Omega(1/lam1)
+    neg-inverse  single i                    Omega D     -
+
+with Omega = Omega(lam1), D = diag((-1)^(s-1-k)), the upper sign for
+involutions and the lower for skew-involutions.  Omega D carries
+J(-1/lam, s) to -J(lam, s)^{-1} and D^2 = I.  Singles sit on the diagonal
+and pairs on the antidiagonal of their two blocks.  Every constructor
+returns a ``Certificate`` that has already verified its residual, its
+flavor (involution or skew-involution), and determinant one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .canonical import JordanSpec, jordan_block, jordan_matrix
 from .classify import (inverse_pairing, neg_inverse_pairing,
                        odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
-                     NotSingleBlock, ShapeError, SingularError, SpecError)
+                     ShapeError, SpecError)
 from .matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
                      is_skew_involution, place_blocks, qdet)
-from .scalar import (GR_I, GR_ONE, GR_ZERO, Q_J, GaussianRational,
-                     class_rep, class_rep_neg_inverse, gr)
+from .scalar import (GR_I, GR_ONE, GR_ZERO, Q_ZERO, GaussianRational,
+                     Quaternion, gr)
+
+_F_ZERO = Fraction(0)
 
 TARGET_INVERSE = "inverse"
 TARGET_NEG_INVERSE = "neg-inverse"
@@ -140,15 +155,6 @@ def certify(g: QMatrix, a: QMatrix, target: str, flavor: str) -> Certificate:
                        residual_zero=True, flavor_verified=True, det_one=True)
 
 
-def _c_jordan(lam: GaussianRational, n: int) -> CMatrix:
-    grid = [[GR_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = lam
-        if i + 1 < n:
-            grid[i][i + 1] = GR_ONE
-    return CMatrix(grid)
-
-
 def block_reverser(lam: GaussianRational, n: int) -> CMatrix:
     """Upper-triangular intertwiner of J(1/lam, n) with J(lam, n)^{-1}.
 
@@ -250,162 +256,103 @@ def shape_matrix(shape: ReversibleShape, param: GaussianRational,
     return block_diagonal([jordan_block(param, n), jordan_block(param, n)])
 
 
+# ---------------------------------------------------------------------------
+# the construction table
+
+# Each block, or inverse-partner pair of blocks, gets B = Omega(lam1) X for a
+# modifier X; the partner block of a pair is sign * X^{-1} Omega(1/lam1), so
+# that g^2 = sign * I.  A partner J(lam2) with lam2 = conj(1/lam1) rather than
+# the literal 1/lam1 needs the j, which turns it into its complex conjugate.
+_PLAIN, _J, _D = "1", "j", "D"
+_J_IF_CONJUGATE = "1 or j"   # j iff the partner is not the literal 1/lam1
+
+# (target, flavor) -> (sign of g^2, single-block modifier, pair modifier)
+_CONSTRUCTIONS = {
+    (TARGET_INVERSE, FLAVOR_INVOLUTION): (1, _PLAIN, _J_IF_CONJUGATE),
+    (TARGET_INVERSE, FLAVOR_SKEW): (-1, _J, _J_IF_CONJUGATE),
+    (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION): (1, _D, _D),
+}
+
+
+def _modified(m: CMatrix, mod: str, left: bool = False,
+              sign: int = 1) -> QMatrix:
+    """sign * M X, or with ``left`` sign * X^{-1} M, for X = 1, j or D.
+
+    D = diag((-1)^(s-1-k)) is its own inverse: it flips every other column
+    (right) or row (left), counted from the last.  j^{-1} = -j, and M j and
+    -j M act on each entry alone: z j = (0, 0, re z, im z) and
+    -j z = (0, 0, -re z, im z).
+    """
+    last = m.n_rows - 1
+    rows = []
+    for r, row in enumerate(m.entries):
+        out = []
+        for c, z in enumerate(row):
+            if z.is_zero:
+                out.append(Q_ZERO)
+                continue
+            flip = sign < 0
+            if mod == _D and (last - (r if left else c)) % 2:
+                flip = not flip
+            re, im = (-z.re, -z.im) if flip else (z.re, z.im)
+            if mod == _J:
+                out.append(Quaternion(_F_ZERO, _F_ZERO,
+                                      -re if left else re, im))
+            else:
+                out.append(Quaternion(re, im, _F_ZERO, _F_ZERO))
+        rows.append(out)
+    return QMatrix(rows)
+
+
+def _place(a: QMatrix, target: str, flavor: str, blocks) -> Certificate:
+    """Build g from the table and certify it against A.
+
+    ``blocks`` holds (row, col, lam1, lam2, s): a single block (row == col)
+    goes on the diagonal, a pair's B at (row, col) and its partner block at
+    (col, row).
+    """
+    sign, single_mod, pair_mod = _CONSTRUCTIONS[(target, flavor)]
+    placements = []
+    for row, col, lam1, lam2, s in blocks:
+        omega = block_reverser(lam1, s)
+        if row == col:
+            placements.append((row, row, _modified(omega, single_mod)))
+            continue
+        lam1_inv = lam1.inverse()
+        mod = pair_mod
+        if mod == _J_IF_CONJUGATE:
+            mod = _PLAIN if lam2 == lam1_inv else _J
+        placements.append((row, col, _modified(omega, mod)))
+        placements.append((col, row, _modified(block_reverser(lam1_inv, s),
+                                               mod, left=True, sign=sign)))
+    return certify(place_blocks(a.n_rows, placements), a, target, flavor)
+
+
 def shape_reverser(shape: ReversibleShape, param: GaussianRational,
                    n: int) -> Certificate:
     """Standard conjugator for each canonical shape, verified on construction."""
     a = shape_matrix(shape, param, n)
-    if shape is ReversibleShape.REAL_UNIT_BLOCK:
-        g = block_reverser(param, n).to_quaternion()
-        return certify(g, a, TARGET_INVERSE, FLAVOR_INVOLUTION)
-    if shape is ReversibleShape.RECIPROCAL_PAIR:
-        # the second block is the literal J(1/lam), so no j even for a
-        # non-real lam; Omega(lam)^{-1} = Omega(1/lam)
-        g = place_blocks(2 * n, [
-            (0, n, block_reverser(param, n).to_quaternion()),
-            (n, 0, block_reverser(param.inverse(), n).to_quaternion()),
-        ])
-        return certify(g, a, TARGET_INVERSE, FLAVOR_INVOLUTION)
-    if shape is ReversibleShape.UNIT_BLOCK:
-        g = block_reverser(param, n).to_quaternion().scale_right(Q_J)
-        return certify(g, a, TARGET_INVERSE, FLAVOR_SKEW)
-    top, bottom = _involution_pair(param, n)
-    g = place_blocks(2 * n, [(0, n, top), (n, 0, bottom)])
-    return certify(g, a, TARGET_INVERSE, FLAVOR_INVOLUTION)
-
-
-def skew_reverser_unit_block(alpha: GaussianRational, n: int) -> Certificate:
-    """Skew-involution reversing J(alpha, n) for any unit-modulus alpha.
-
-    Allows alpha = +-1 as the endpoints of the unit upper half circle.
-    """
-    alpha = class_rep(alpha)
-    if alpha.norm_sq() != 1:
-        raise DomainError("eigenvalue must have unit modulus")
-    a = jordan_block(alpha, n)
-    g = block_reverser(alpha, n).to_quaternion().scale_right(Q_J)
-    return certify(g, a, TARGET_INVERSE, FLAVOR_SKEW)
-
-
-def skew_reverser_pair(lam: GaussianRational, n: int) -> Certificate:
-    """Skew-involution reversing the literal pair J(lam, n) + J(1/lam, n)."""
-    if lam.is_zero or lam.norm_sq() == 1:
-        raise SpecError("pair shape needs a nonzero eigenvalue off the unit circle")
-    a = block_diagonal([jordan_block(lam, n),
-                        jordan_block(lam.inverse(), n)])
-    omega = block_reverser(lam, n)
-    omega_inv = block_reverser(lam.inverse(), n)
-    g = place_blocks(2 * n, [
-        (0, n, omega.to_quaternion()),
-        (n, 0, (-omega_inv).to_quaternion()),
-    ])
-    return certify(g, a, TARGET_INVERSE, FLAVOR_SKEW)
-
-
-def single_block_conjugator(m: CMatrix, mu: GaussianRational) -> CMatrix:
-    """P with P M P^{-1} = J(mu, n), via the Jordan chain grown from e_n.
-
-    The chain basis is ((M - mu I)^{n-1} e_n, ..., (M - mu I) e_n, e_n);
-    if it fails to be a basis the matrix is not similar to a single block
-    with cyclic last coordinate and ``NotSingleBlock`` is raised.
-    """
-    if not m.is_square:
-        raise SpecError("input must be square")
-    n = m.n_rows
-    nilp = m - CMatrix.scalar(n, mu)
-    col = CMatrix([[GR_ONE if i == n - 1 else GR_ZERO] for i in range(n)])
-    chain = [col]
-    for _ in range(n - 1):
-        col = nilp * col
-        chain.insert(0, col)
-    s = CMatrix([[chain[j].entries[i][0] for j in range(n)]
-                 for i in range(n)])
-    try:
-        p = s.inverse()
-    except SingularError as exc:
-        raise NotSingleBlock("the last coordinate does not generate a full "
-                             "Jordan chain") from exc
-    if p * (m * s) != _c_jordan(mu, n):
-        raise NotSingleBlock("matrix is not similar to a single Jordan block "
-                             f"at {mu}")
-    return p
-
-
-def neg_reverser_pair(lam: GaussianRational, n: int) -> Certificate:
-    """Involution conjugating J(lam,n) + J(-1/lam rep, n) to minus its inverse.
-
-    Built as the antidiagonal of P and P^{-1}, where P carries the partner
-    block onto -J(lam, n)^{-1} via its Jordan chain.
-    """
-    lam = class_rep(lam)
-    if lam.is_zero:
-        raise SpecError("eigenvalue must be nonzero")
-    partner = class_rep_neg_inverse(lam)
-    if partner == lam:
-        raise SpecError("the class of i pairs with itself; use the "
-                        "single-block construction")
-    m = -(_c_jordan(lam, n).inverse())
-    p0 = single_block_conjugator(m, partner)   # p0 m p0^{-1} = J(partner, n)
-    p = p0.inverse()                           # p J(partner,n) p^{-1} = m
-    a = block_diagonal([jordan_block(lam, n), jordan_block(partner, n)])
-    g = place_blocks(2 * n, [(0, n, p.to_quaternion()),
-                             (n, 0, p0.to_quaternion())])
-    return certify(g, a, TARGET_NEG_INVERSE, FLAVOR_INVOLUTION)
-
-
-def _neg_i_recurrence(n: int) -> CMatrix:
-    x = [[GR_ZERO] * n for _ in range(n)]
-    x[n - 1][n - 1] = GR_ONE
-    for i in range(n - 2, -1, -1):
-        for j in range(i, n - 1):
-            x[i][j] = GR_I * x[i + 1][j] - x[i + 1][j + 1]
-    return CMatrix(x)
-
-
-def _neg_i_closed_form(n: int) -> CMatrix:
-    minus_i = -GR_I
-    x = [[GR_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        sign = GR_ONE if (n - 1 - i) % 2 == 0 else -GR_ONE
-        x[i][i] = sign
-        for j in range(i + 1, n - 1):
-            c = math.comb(n - i - 2, j - i)
-            if c:
-                x[i][j] = sign * gr(c) * minus_i.power(j - i)
-    return CMatrix(x)
+    partner = (param.inverse() if shape is ReversibleShape.RECIPROCAL_PAIR
+               else param)
+    col = 0 if shape in (ReversibleShape.REAL_UNIT_BLOCK,
+                         ReversibleShape.UNIT_BLOCK) else n
+    flavor = (FLAVOR_SKEW if shape is ReversibleShape.UNIT_BLOCK
+              else FLAVOR_INVOLUTION)
+    return _place(a, TARGET_INVERSE, flavor, [(0, col, param, partner, n)])
 
 
 def neg_reverser_i_matrix(n: int) -> CMatrix:
-    """Involution conjugating J(i, n) to minus its inverse (matrix only).
-
-    Computed by the recurrence x[i][j] = i*x[i+1][j] - x[i+1][j+1] from a
-    unit bottom-right corner, and independently by its closed form; the two
-    are asserted equal.
-    """
-    if n < 1:
-        raise DomainError("size must be positive")
-    by_rec = _neg_i_recurrence(n)
-    by_form = _neg_i_closed_form(n)
-    assert by_rec == by_form, "recurrence and closed form disagree"
-    return by_rec
-
-
-def neg_reverser_i(n: int) -> Certificate:
-    """Certificate form of the J(i, n) negated-inverse involution."""
-    g = neg_reverser_i_matrix(n).to_quaternion()
-    a = jordan_block(GR_I, n)
-    return certify(g, a, TARGET_NEG_INVERSE, FLAVOR_INVOLUTION)
+    """Involution conjugating J(i, n) to minus its inverse: Omega(i) D."""
+    return _modified(block_reverser(GR_I, n), _D).to_cmatrix()
 
 
 # ---------------------------------------------------------------------------
 # assembly over full specs
 
 
-def _strong_pairing(spec: JordanSpec):
+def _strong_pairing(spec: JordanSpec, pairing):
     """Pairs for the involution construction: non-unit inverse partners plus
     duplicated non-real unit blocks; +-1 blocks stay single."""
-    pairing, reason = inverse_pairing(spec)
-    if pairing is None:
-        raise NotConstructible(f"not conjugate to its inverse: {reason}")
     odd = odd_unit_classes(spec)
     if odd:
         lam, size = odd[0]
@@ -427,29 +374,6 @@ def _strong_pairing(spec: JordanSpec):
     return pairs, singles
 
 
-def _involution_pair(lam1: GaussianRational, s: int):
-    """Antidiagonal blocks (B, B^{-1}) with B = Omega(lam1), or Omega(lam1) j
-    for a non-real lam1; the inverses are closed forms, Omega(lam)^{-1} =
-    Omega(1/lam) and (M j)^{-1} = -j M^{-1}."""
-    top = block_reverser(lam1, s).to_quaternion()
-    inv = block_reverser(lam1.inverse(), s).to_quaternion()
-    if lam1.im == 0:
-        return top, inv
-    return top.scale_right(Q_J), inv.scale_left(-Q_J)
-
-
-def _skew_pair(lam1: GaussianRational, s: int):
-    """Antidiagonal blocks (B, -B^{-1}), B as in ``_involution_pair``."""
-    top, inv = _involution_pair(lam1, s)
-    return top, -inv
-
-
-def _neg_pair(lam1: GaussianRational, lam2: GaussianRational, s: int):
-    m = -(_c_jordan(lam1, s).inverse())
-    p0 = single_block_conjugator(m, lam2)
-    return p0.inverse().to_quaternion(), p0.to_quaternion()
-
-
 def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
                       flavor: str = "any") -> Certificate:
     """Full conjugator certificate for the canonical matrix of a spec.
@@ -463,11 +387,6 @@ def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
     if flavor not in ("any", FLAVOR_INVOLUTION, FLAVOR_SKEW):
         raise DomainError(f"unknown flavor {flavor!r}")
 
-    a = jordan_matrix(spec)
-    n = spec.total_size
-    offsets = spec.block_offsets()
-    placements = []
-
     if target == TARGET_NEG_INVERSE:
         if flavor == FLAVOR_SKEW:
             raise NotConstructible(
@@ -477,48 +396,22 @@ def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
         if pairing is None:
             raise NotConstructible(
                 f"not conjugate to the negative of its inverse: {reason}")
-        for idx in pairing.singletons:
-            _, s = spec.blocks[idx]
-            placements.append((offsets[idx], offsets[idx],
-                               neg_reverser_i_matrix(s).to_quaternion()))
-        for ia, ib in pairing.pairs:
-            lam1, s = spec.blocks[ia]
-            lam2 = spec.blocks[ib][0]
-            top, bottom = _neg_pair(lam1, lam2, s)
-            placements.append((offsets[ia], offsets[ib], top))
-            placements.append((offsets[ib], offsets[ia], bottom))
-        g = place_blocks(n, placements)
-        return certify(g, a, target, FLAVOR_INVOLUTION)
+        flavor = FLAVOR_INVOLUTION
+        pairs, singles = pairing.pairs, pairing.singletons
+    else:
+        pairing, reason = inverse_pairing(spec)
+        if pairing is None:
+            raise NotConstructible(f"not conjugate to its inverse: {reason}")
+        if flavor == FLAVOR_INVOLUTION or (flavor == "any"
+                                           and not odd_unit_classes(spec)):
+            flavor = FLAVOR_INVOLUTION
+            pairs, singles = _strong_pairing(spec, pairing)
+        else:
+            flavor = FLAVOR_SKEW
+            pairs, singles = pairing.pairs, pairing.singletons
 
-    pairing, reason = inverse_pairing(spec)
-    if pairing is None:
-        raise NotConstructible(f"not conjugate to its inverse: {reason}")
-
-    use_involution = (flavor == FLAVOR_INVOLUTION
-                      or (flavor == "any" and not odd_unit_classes(spec)))
-    if use_involution:
-        pairs, singles = _strong_pairing(spec)
-        for idx in singles:
-            mu, s = spec.blocks[idx]
-            placements.append((offsets[idx], offsets[idx],
-                               block_reverser(mu, s).to_quaternion()))
-        for ia, ib in pairs:
-            lam1, s = spec.blocks[ia]
-            top, bottom = _involution_pair(lam1, s)
-            placements.append((offsets[ia], offsets[ib], top))
-            placements.append((offsets[ib], offsets[ia], bottom))
-        g = place_blocks(n, placements)
-        return certify(g, a, target, FLAVOR_INVOLUTION)
-
-    for idx in pairing.singletons:
-        mu, s = spec.blocks[idx]
-        placements.append((offsets[idx], offsets[idx],
-                           block_reverser(mu, s).to_quaternion()
-                           .scale_right(Q_J)))
-    for ia, ib in pairing.pairs:
-        lam1, s = spec.blocks[ia]
-        top, bottom = _skew_pair(lam1, s)
-        placements.append((offsets[ia], offsets[ib], top))
-        placements.append((offsets[ib], offsets[ia], bottom))
-    g = place_blocks(n, placements)
-    return certify(g, a, target, FLAVOR_SKEW)
+    offsets = spec.block_offsets()
+    blocks = [(offsets[ia], offsets[ib], spec.blocks[ia][0],
+               spec.blocks[ib][0], spec.blocks[ia][1])
+              for ia, ib in [(i, i) for i in singles] + list(pairs)]
+    return _place(jordan_matrix(spec), target, flavor, blocks)

@@ -1,12 +1,16 @@
-"""Shared helpers: seeded random generators and the exhaustive spec sweep."""
+"""Shared helpers: seeded random generators, the exhaustive spec sweep, and
+independent oracles for the library's closed forms and checks."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from quatrev.canonical import JordanSpec
+from quatrev.canonical import JordanSpec, jordan_block
+from quatrev.errors import NotSingleBlock, ShapeError, SingularError
 from quatrev.matrix import CMatrix, QMatrix, qdet
-from quatrev.scalar import GR_ONE, GR_ZERO, GaussianRational, Quaternion, gr
+from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, GaussianRational,
+                            Quaternion, gr)
 
 # eigenvalue pool used by the sweep: real reciprocal pairs, units, and a
 # non-unit complex value whose inverse-class partner is in the pool too
@@ -109,6 +113,65 @@ def det_bareiss(c: CMatrix) -> GaussianRational:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def conjugacy_residual(g: QMatrix, a: QMatrix, b: QMatrix) -> QMatrix:
+    """Residual g*A - B*g; zero iff g A g^{-1} = B (g must be invertible)."""
+    if not (g.is_square and a.is_square and b.is_square):
+        raise ShapeError("conjugacy residual needs square matrices")
+    if not g.n_rows == a.n_rows == b.n_rows:
+        raise ShapeError("conjugacy residual needs equal sizes")
+    if qdet(g) == 0:
+        raise SingularError("conjugating matrix is singular")
+    return g * a - b * g
+
+
+def single_block_conjugator(m: CMatrix, mu: GaussianRational) -> CMatrix:
+    """P with P M P^{-1} = J(mu, n), via the Jordan chain grown from e_n.
+
+    The chain basis is ((M - mu I)^{n-1} e_n, ..., (M - mu I) e_n, e_n);
+    if it fails to be a basis the matrix is not similar to a single block
+    with cyclic last coordinate and ``NotSingleBlock`` is raised.  Oracle
+    for the negated-inverse pair blocks: an intertwiner whose last column
+    is e_n is unique.
+    """
+    n = m.n_rows
+    nilp = m - CMatrix.scalar(n, mu)
+    col = CMatrix([[GR_ONE if i == n - 1 else GR_ZERO] for i in range(n)])
+    chain = [col]
+    for _ in range(n - 1):
+        col = nilp * col
+        chain.insert(0, col)
+    s = CMatrix([[chain[j].entries[i][0] for j in range(n)]
+                 for i in range(n)])
+    try:
+        p = s.inverse()
+    except SingularError as exc:
+        raise NotSingleBlock("the last coordinate does not generate a full "
+                             "Jordan chain") from exc
+    if p * (m * s) != jordan_block(mu, n).to_cmatrix():
+        raise NotSingleBlock("matrix is not similar to a single Jordan block "
+                             f"at {mu}")
+    return p
+
+
+def neg_i_closed_form(n: int) -> CMatrix:
+    """Binomial closed form of the J(i, n) negated-inverse involution."""
+    minus_i = -GR_I
+    x = [[GR_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        sign = GR_ONE if (n - 1 - i) % 2 == 0 else -GR_ONE
+        x[i][i] = sign
+        for j in range(i + 1, n - 1):
+            c = math.comb(n - i - 2, j - i)
+            if c:
+                x[i][j] = sign * gr(c) * minus_i.power(j - i)
+    return CMatrix(x)
+
+
+def sub_block(g, r0, c0, n):
+    """The n x n block of g whose top-left corner is (r0, c0)."""
+    return type(g)([row[c0:c0 + n] for row in g.entries[r0:r0 + n]])
 
 
 def sweep_blocks(max_total=SWEEP_MAX_TOTAL, pool=EIG_POOL):

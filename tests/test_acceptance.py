@@ -22,8 +22,7 @@ from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,
                                TARGET_INVERSE, TARGET_NEG_INVERSE,
                                ReversibleShape, assemble_reverser,
                                block_reverser, neg_reverser_i_matrix,
-                               shape_matrix, shape_reverser,
-                               skew_reverser_unit_block, weyr_reverser)
+                               shape_matrix, shape_reverser, weyr_reverser)
 from quatrev.scalar import Q_J, gr, parse_complex
 
 
@@ -150,7 +149,8 @@ def test_5_involution_certificates_and_negative_control(sweep_specs):
     sampled = 0
     for n in range(1, 6):
         a = jordan_block(alpha, n)
-        base = skew_reverser_unit_block(alpha, n).g
+        base = assemble_reverser(JordanSpec.of([(alpha, n)]),
+                                 TARGET_INVERSE, FLAVOR_SKEW).g
         ident = QMatrix.identity(n)
         for _ in range(20):
             coeffs = [rand_gr(rng, nonzero=True).to_quaternion()]

@@ -198,6 +198,15 @@ def test_omega_rejects_zero():
     assert code == EXIT_PARSE
 
 
+def test_omega_rejects_empty_scalar_halves():
+    # an empty real or imaginary half of "re,im" is not read as 0, 1 or -1
+    for literal in (",", "1,", ",2", "1,-"):
+        code, out, err = run("omega", "--lambda", literal, "--n", "1")
+        assert code == EXIT_PARSE, literal
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_weyr_subcommand():
     code, out, _ = run("weyr", "--partition", "3,2,2")
     assert code == EXIT_OK

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (cofactor_det, det_bareiss, naive_mul, rand_invertible,
-                      rand_qmatrix, rand_quat, rng_for, sweep_blocks)
+from conftest import (cofactor_det, conjugacy_residual, det_bareiss,
+                      naive_mul, rand_invertible, rand_qmatrix, rand_quat,
+                      rng_for, sweep_blocks)
 from quatrev.canonical import JordanSpec
 from quatrev.errors import NotConstructible, ShapeError, SingularError
-from quatrev.matrix import (CMatrix, QMatrix, block_diagonal,
-                            conjugacy_residual, is_involution,
+from quatrev.matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
                             is_skew_involution, phi_embed, place_blocks,
                             qdet, toeplitz_build)
 from quatrev.reversers import assemble_reverser

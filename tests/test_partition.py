@@ -14,6 +14,27 @@ def independent_conjugate(parts):
     return tuple(sum(1 for p in parts if p > c) for c in range(parts[0]))
 
 
+def conjugate_closed_form(p: Partition) -> Partition:
+    """Closed form on the exponent representation.
+
+    With p = [d1^t1, ..., ds^ts] (d1 > ... > ds), the conjugate is
+    [(t1+...+ts)^(ds), (t1+...+t_{s-1})^(d_{s-1}-d_s), ..., (t1)^(d1-d2)].
+    """
+    form = p.exponent_form
+    s = len(form)
+    prefix = []
+    acc = 0
+    for _, t in form:
+        acc += t
+        prefix.append(acc)
+    pairs = []
+    for idx in range(s - 1, -1, -1):
+        d = form[idx][0]
+        d_next = form[idx + 1][0] if idx + 1 < s else 0
+        pairs.append((prefix[idx], d - d_next))
+    return Partition.from_exponents(pairs)
+
+
 def test_frozen_conjugates():
     assert Partition.of([2, 2, 1]).conjugate() == Partition.of([3, 2])
     assert Partition.of([3, 3, 1]).conjugate() == Partition.of([3, 2, 2])
@@ -45,6 +66,7 @@ def test_conjugate_matches_diagram_and_is_involutive(parts):
     p = Partition.of(parts)
     c = p.conjugate()
     assert c.parts == independent_conjugate(p.parts)
+    assert c == conjugate_closed_form(p)
     assert c.conjugate() == p
     assert c.total == p.total
 

@@ -1,23 +1,23 @@
 """Reversing conjugators: single blocks, shapes, Weyr form, assembly."""
 import pytest
 
-from conftest import rng_for, rand_gr
+from conftest import (conjugacy_residual, neg_i_closed_form, rng_for,
+                      rand_gr, single_block_conjugator, sub_block)
 from quatrev.canonical import (JordanSpec, jordan_block, jordan_matrix,
                                basic_weyr_matrix)
+from quatrev.classify import neg_inverse_pairing
 from quatrev.errors import (CertificateError, DomainError, NotConstructible,
                             NotSingleBlock, SpecError)
-from quatrev.matrix import (QMatrix, conjugacy_residual, is_involution,
+from quatrev.matrix import (QMatrix, block_diagonal, is_involution,
                             is_skew_involution, qdet)
 from quatrev.partitions import Partition, weyr_structure_of
-from quatrev.reversers import (Certificate, ReversibleShape, assemble_reverser,
-                               block_reverser, certify, neg_reverser_i,
-                               neg_reverser_i_matrix, neg_reverser_pair,
+from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,
+                               TARGET_INVERSE, TARGET_NEG_INVERSE,
+                               Certificate, ReversibleShape, assemble_reverser,
+                               block_reverser, certify, neg_reverser_i_matrix,
                                shape_matrix, shape_reverser,
-                               single_block_conjugator,
-                               skew_reverser_pair, skew_reverser_unit_block,
-                               check_certificate, weyr_reverser,
-                               _involution_pair, _skew_pair)
-from quatrev.scalar import GR_I, Q_J, gr, quat
+                               check_certificate, weyr_reverser, _place)
+from quatrev.scalar import GR_I, Q_J, class_rep_neg_inverse, gr, quat
 
 
 def cm(rows):
@@ -58,13 +58,34 @@ def test_block_reverser_identities_random():
                                  gr("3/5", "4/5"), gr("-4/5", "3/5"),
                                  gr(1, 1), gr("1/2", "1/2"), gr(0, 3)])
 def test_pair_blocks_closed_form_inverses(lam):
-    # assembly writes B^{-1} from Omega(lam)^{-1} = Omega(1/lam) and
-    # (M j)^{-1} = -j M^{-1}; check both against elimination
+    # every row of the construction table writes the partner block as
+    # sign * B^{-1} in closed form, from Omega(lam)^{-1} = Omega(1/lam),
+    # (M j)^{-1} = -j M^{-1} and D^{-1} = D; check against elimination
+    pair_rows = [(TARGET_INVERSE, FLAVOR_INVOLUTION, lam.inverse()),
+                 (TARGET_INVERSE, FLAVOR_SKEW, lam.inverse()),
+                 (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION, -lam.inverse())]
+    if not lam.is_real:
+        pair_rows += [(TARGET_INVERSE, flavor, lam.inverse().conjugate())
+                      for flavor in (FLAVOR_INVOLUTION, FLAVOR_SKEW)]
+    single_rows = []
+    if lam.norm_sq() == 1:
+        single_rows.append((TARGET_INVERSE, FLAVOR_SKEW))
+    if lam.is_real and lam.norm_sq() == 1:
+        single_rows.append((TARGET_INVERSE, FLAVOR_INVOLUTION))
+    if lam == GR_I:
+        single_rows.append((TARGET_NEG_INVERSE, FLAVOR_INVOLUTION))
     for n in (1, 2, 5, 8):
-        top, bottom = _involution_pair(lam, n)
-        assert bottom == top.inverse()
-        skew_top, skew_bottom = _skew_pair(lam, n)
-        assert skew_top == top and skew_bottom == -top.inverse()
+        for target, flavor, partner in pair_rows:
+            a = block_diagonal([jordan_block(lam, n),
+                                jordan_block(partner, n)])
+            g = _place(a, target, flavor, [(0, n, lam, partner, n)]).g
+            top, bottom = sub_block(g, 0, n, n), sub_block(g, n, 0, n)
+            inv = top.inverse()
+            assert bottom == (-inv if flavor == FLAVOR_SKEW else inv)
+        for target, flavor in single_rows:
+            b = _place(jordan_block(lam, n), target, flavor,
+                       [(0, 0, lam, lam, n)]).g
+            assert b.inverse() == (-b if flavor == FLAVOR_SKEW else b)
 
 
 def test_block_reverser_rejects_zero():
@@ -122,24 +143,24 @@ def test_shape_param_validation():
 def test_skew_reverser_unit_block():
     for alpha, n in [(gr(0, 1), 1), (gr(0, 1), 4), (gr("3/5", "4/5"), 3),
                      (gr(1), 2), (gr(-1), 3)]:
-        cert = skew_reverser_unit_block(alpha, n)
+        cert = assemble_reverser(JordanSpec.of([(alpha, n)]),
+                                 flavor="skew-involution")
         a = jordan_block(alpha, n)
         assert is_skew_involution(cert.g)
         assert conjugacy_residual(cert.g, a, a.inverse()).is_zero
 
 
 def test_skew_reverser_unit_block_rejects_nonunit():
-    with pytest.raises(DomainError):
-        skew_reverser_unit_block(gr(2), 2)
+    with pytest.raises(NotConstructible):
+        assemble_reverser(JordanSpec.of([(gr(2), 2)]),
+                          flavor="skew-involution")
 
 
 def test_skew_reverser_pair():
     for lam, n in [(gr(2), 1), (gr(2), 3), (gr(1, 1), 2)]:
-        cert = skew_reverser_pair(lam, n)
-        two = JordanSpec.of  # noqa: F841  (kept local; matrix built by hand)
-        from quatrev.matrix import block_diagonal
-        a = block_diagonal([jordan_block(lam, n),
-                            jordan_block(lam.inverse(), n)])
+        spec = JordanSpec.of([(lam, n), (lam.inverse(), n)])
+        cert = assemble_reverser(spec, flavor="skew-involution")
+        a = jordan_matrix(spec)
         assert is_skew_involution(cert.g)
         assert conjugacy_residual(cert.g, a, a.inverse()).is_zero
 
@@ -194,26 +215,68 @@ def test_neg_reverser_i_frozen_n2():
 
 def test_neg_reverser_i_certificates():
     for n in (1, 2, 3, 4, 5, 6):
-        cert = neg_reverser_i(n)
+        cert = assemble_reverser(JordanSpec.of([(GR_I, n)]),
+                                 target="neg-inverse")
         a = jordan_block(gr(0, 1), n)
         assert is_involution(cert.g)
         assert conjugacy_residual(cert.g, a, -(a.inverse())).is_zero
+        assert cert.g == neg_reverser_i_matrix(n).to_quaternion()
+
+
+def test_neg_reverser_i_matches_closed_form():
+    for n in range(1, 25):
+        assert neg_reverser_i_matrix(n) == neg_i_closed_form(n)
 
 
 def test_neg_reverser_pair():
     for lam, n in [(gr(1), 1), (gr(2), 3), (gr(1, 1), 2), (gr(-1), 2)]:
-        cert = neg_reverser_pair(lam, n)
-        from quatrev.matrix import block_diagonal
-        from quatrev.scalar import class_rep_neg_inverse
         nu = class_rep_neg_inverse(lam)
-        a = block_diagonal([jordan_block(lam, n), jordan_block(nu, n)])
+        spec = JordanSpec.of([(lam, n), (nu, n)])
+        cert = assemble_reverser(spec, target="neg-inverse")
+        a = jordan_matrix(spec)
         assert is_involution(cert.g)
         assert conjugacy_residual(cert.g, a, -(a.inverse())).is_zero
 
 
-def test_neg_reverser_pair_rejects_self_paired():
-    with pytest.raises(SpecError):
-        neg_reverser_pair(gr(0, 1), 2)
+def test_neg_inverse_self_paired_class_stays_single():
+    # the class of i is its own negated-inverse partner: two J(i, 2) blocks
+    # get Omega(i) D each on the diagonal, never an antidiagonal pair
+    spec = JordanSpec.of([(GR_I, 2), (GR_I, 2)])
+    g = assemble_reverser(spec, target="neg-inverse").g
+    blk = neg_reverser_i_matrix(2).to_quaternion()
+    assert sub_block(g, 0, 0, 2) == blk and sub_block(g, 2, 2, 2) == blk
+    assert sub_block(g, 0, 2, 2).is_zero and sub_block(g, 2, 0, 2).is_zero
+
+
+def neg_pair_oracle(lam1, lam2, n):
+    """(B, partner block) from the Jordan chain of the partner block."""
+    p0 = single_block_conjugator(-(jordan_block(lam1, n).to_cmatrix()
+                                   .inverse()), lam2)
+    return p0.inverse().to_quaternion(), p0.to_quaternion()
+
+
+NEG_PAIR_EIGENVALUES = [gr(1), gr(-1), gr(2), gr("-1/2"), gr("1/3"),
+                        gr(5), gr("3/5", "4/5"), gr("-4/5", "3/5"),
+                        gr(1, 1), gr("-1/2", "1/2"), gr(0, 3),
+                        gr(0, "1/3"), gr(2, 1)]
+
+
+def test_neg_pair_blocks_match_jordan_chain_oracle(sweep_specs):
+    checked = 0
+    specs = [s for s in sweep_specs if neg_inverse_pairing(s)[0]]
+    specs += [JordanSpec.of([(lam, n), (class_rep_neg_inverse(lam), n)])
+              for lam in NEG_PAIR_EIGENVALUES for n in (1, 2, 5, 8)]
+    for spec in specs:
+        pairing, _ = neg_inverse_pairing(spec)
+        g = assemble_reverser(spec, target="neg-inverse").g
+        offsets = spec.block_offsets()
+        for ia, ib in pairing.pairs:
+            (lam1, n), (lam2, _) = spec.blocks[ia], spec.blocks[ib]
+            top, bottom = neg_pair_oracle(lam1, lam2, n)
+            assert sub_block(g, offsets[ia], offsets[ib], n) == top
+            assert sub_block(g, offsets[ib], offsets[ia], n) == bottom
+            checked += 1
+    assert checked > 100
 
 
 def test_single_block_conjugator_frozen():
@@ -223,7 +286,6 @@ def test_single_block_conjugator_frozen():
 
 
 def test_single_block_conjugator_rejects_split():
-    from quatrev.matrix import block_diagonal
     m = block_diagonal([jordan_block(gr(2), 1),
                         jordan_block(gr(3), 1)]).to_cmatrix()
     with pytest.raises(NotSingleBlock):
@@ -349,7 +411,8 @@ def test_coset_elements_fail_involution_for_odd_multiplicity():
     alpha = gr("3/5", "4/5")
     for n in (1, 2, 3):
         a = jordan_block(alpha, n)
-        base = skew_reverser_unit_block(alpha, n).g
+        base = assemble_reverser(JordanSpec.of([(alpha, n)]),
+                                 flavor="skew-involution").g
         from quatrev.matrix import toeplitz_build
         for _ in range(10):
             coeffs = [rand_gr(rng).to_quaternion() for _ in range(n)]
