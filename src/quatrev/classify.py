@@ -14,7 +14,7 @@ linear group, and then it is automatically strongly reversible there.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from .canonical import JordanSpec
@@ -127,14 +127,7 @@ class Classification:
     witness_pairing: dict
 
     def to_json(self) -> dict:
-        return {
-            "reversible": self.reversible,
-            "strongly_reversible": self.strongly_reversible,
-            "neg_reversible": self.neg_reversible,
-            "psl_reversible": self.psl_reversible,
-            "psl_strongly_reversible": self.psl_strongly_reversible,
-            "witness_pairing": self.witness_pairing,
-        }
+        return asdict(self)
 
 
 def classify_psl(spec: JordanSpec) -> Classification:

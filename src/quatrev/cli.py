@@ -19,13 +19,13 @@ from .classify import classify_psl
 from .decompose import (product_involution_skew, product_two_involutions,
                         product_two_skew_involutions, verify_certificate)
 from .errors import (FlavorError, NotConstructible, PairingError,
-                     QuatrevError, RankProfileError, SingularError, SpecError)
+                     QuatrevError, RankProfileError, SingularError)
 from .matrix import QMatrix
 from .numeric import (NumericConfig, classify_numeric, float_matrix_from_json)
 from .partitions import parse_partition, weyr_structure_of
-from .reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
-                        TARGET_NEG_INVERSE, assemble_reverser, block_reverser,
-                        Certificate)
+from .reversers import (FLAVOR_GENERAL, FLAVOR_INVOLUTION, FLAVOR_SKEW,
+                        TARGET_INVERSE, TARGET_NEG_INVERSE, assemble_reverser,
+                        block_reverser, Certificate)
 from .scalar import GaussianRational, parse_complex, parse_rational
 
 EXIT_OK = 0
@@ -89,10 +89,7 @@ def _parse_spec(arg: str) -> JordanSpec:
             raise _CliParseError(f"bad block literal: ({item})") from exc
     if not blocks:
         raise _CliParseError(f"no Jordan blocks found in {text!r}")
-    try:
-        return JordanSpec.of(blocks)
-    except SpecError as exc:
-        raise _CliParseError(str(exc)) from exc
+    return JordanSpec.of(blocks)  # a SpecError exits 2 like a parse error
 
 
 def _parse_scalar(text: str):
@@ -110,22 +107,20 @@ def _parse_scalar(text: str):
 
 def _emit(obj, out_path):
     text = json.dumps(obj, indent=2) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _CliParseError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _numeric_config(args) -> NumericConfig:
-    kw = {}
-    if args.rank_tol is not None:
-        kw["rank_tol"] = args.rank_tol
-    if args.eig_tol is not None:
-        kw["eig_cluster_tol"] = args.eig_tol
-    if args.unit_tol is not None:
-        kw["unit_tol"] = args.unit_tol
-    return NumericConfig(**kw)
+    given = {"rank_tol": args.rank_tol, "eig_cluster_tol": args.eig_tol,
+             "unit_tol": args.unit_tol}
+    return NumericConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_classify(args) -> int:
@@ -164,12 +159,16 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def _load_matrix_and_cert(args) -> tuple[QMatrix, Certificate]:
     try:
-        a = QMatrix.from_json(_load_json(args.matrix))
-        cert = Certificate.from_json(_load_json(args.cert))
+        return (QMatrix.from_json(_load_json(args.matrix)),
+                Certificate.from_json(_load_json(args.cert)))
     except ValueError as exc:
         raise _CliParseError(str(exc)) from exc
+
+
+def cmd_verify(args) -> int:
+    a, cert = _load_matrix_and_cert(args)
     report = verify_certificate(a, cert)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
@@ -184,14 +183,13 @@ def cmd_decompose(args) -> int:
         if args.matrix is None or args.cert is None:
             raise _CliParseError(
                 "decompose needs --jordan or both --matrix and --cert")
-        try:
-            a = QMatrix.from_json(_load_json(args.matrix))
-            cert = Certificate.from_json(_load_json(args.cert))
-        except ValueError as exc:
-            raise _CliParseError(str(exc)) from exc
+        a, cert = _load_matrix_and_cert(args)
         if not verify_certificate(a, cert).ok:
             print("certificate failed verification", file=sys.stderr)
             return EXIT_VERIFY_FAILED
+    if cert.flavor == FLAVOR_GENERAL:
+        raise FlavorError("a general certificate gives no factorization; "
+                          "need an involution or skew-involution certificate")
     if cert.target == TARGET_NEG_INVERSE:
         fact = product_involution_skew(a, cert)
     elif cert.flavor == FLAVOR_INVOLUTION:
@@ -212,22 +210,21 @@ def cmd_omega(args) -> int:
 
 
 def cmd_weyr(args) -> int:
-    try:
-        p = parse_partition(args.partition)
-    except SpecError as exc:
-        raise _CliParseError(str(exc)) from exc
-    conj = p.conjugate()
-    out = {
-        "partition": list(p.parts),
-        "conjugate": list(conj.parts),
-        "weyr_structure": list(weyr_structure_of(p).sizes),
-    }
-    _emit(out, args.out)
+    p = parse_partition(args.partition)  # a SpecError exits 2
+    _emit({"partition": list(p.parts), "conjugate": list(p.conjugate().parts),
+           "weyr_structure": list(weyr_structure_of(p).sizes)}, args.out)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one line and exit 2, like every other error."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {_one_line(message)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="quatrev",
         description="Reversibility certificates in quaternionic special "
                     "linear groups")
@@ -237,14 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write JSON here instead "
                        "of stdout")
         if numeric:
-            p.add_argument("--mode", choices=["exact", "numeric"],
-                           default=None)
-            p.add_argument("--rank-tol", dest="rank_tol", type=float,
-                           default=None)
-            p.add_argument("--eig-tol", dest="eig_tol", type=float,
-                           default=None)
-            p.add_argument("--unit-tol", dest="unit_tol", type=float,
-                           default=None)
+            p.add_argument("--mode", choices=["exact", "numeric"])
+            for flag in ("--rank-tol", "--eig-tol", "--unit-tol"):
+                p.add_argument(flag, type=float)
+
+    def kind(p):
+        p.add_argument("--target", default=TARGET_INVERSE,
+                       choices=[TARGET_INVERSE, TARGET_NEG_INVERSE])
+        p.add_argument("--flavor", default="any",
+                       choices=["any", FLAVOR_INVOLUTION, FLAVOR_SKEW])
 
     p = sub.add_parser("classify", help="reversibility flags of a spec or "
                        "float matrix")
@@ -255,10 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="construct a conjugator certificate")
     p.add_argument("--jordan", required=True)
-    p.add_argument("--target", choices=[TARGET_INVERSE, TARGET_NEG_INVERSE],
-                   default=TARGET_INVERSE)
-    p.add_argument("--flavor", choices=["any", FLAVOR_INVOLUTION, FLAVOR_SKEW],
-                   default="any")
+    kind(p)
     p.add_argument("--emit-matrix", action="store_true",
                    help="include the certified Jordan matrix in the output")
     common(p)
@@ -274,10 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jordan", default=None)
     p.add_argument("--matrix", default=None)
     p.add_argument("--cert", default=None)
-    p.add_argument("--target", choices=[TARGET_INVERSE, TARGET_NEG_INVERSE],
-                   default=TARGET_INVERSE)
-    p.add_argument("--flavor", choices=["any", FLAVOR_INVOLUTION, FLAVOR_SKEW],
-                   default="any")
+    kind(p)
     common(p)
     p.set_defaults(fn=cmd_decompose)
 
@@ -298,27 +290,30 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# first match wins: (exception types, stderr prefix, exit code)
+_FAILURES = (
+    ((PairingError, RankProfileError, SingularError, np.linalg.LinAlgError,
+      FloatingPointError), "numeric recovery failed: ", EXIT_NUMERIC),
+    ((NotConstructible, FlavorError), "not constructible: ",
+     EXIT_NOT_CONSTRUCTIBLE),
+    ((_CliParseError, QuatrevError), "error: ", EXIT_PARSE),
+)
+
+
+def _one_line(text: str) -> str:
+    """Echoed input may hold line breaks; the message stays on one line."""
+    return " ".join(text.splitlines())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (PairingError, RankProfileError, SingularError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numeric recovery failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (NotConstructible, FlavorError) as exc:
-        print(f"not constructible: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONSTRUCTIBLE
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except QuatrevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(t for types, _, _ in _FAILURES for t in types) as exc:
+        prefix, code = next((prefix, code) for types, prefix, code
+                            in _FAILURES if isinstance(exc, types))
+        print(prefix + _one_line(str(exc)), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

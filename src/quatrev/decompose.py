@@ -65,34 +65,33 @@ def _checked(s1: QMatrix, s2: QMatrix, a: QMatrix,
     return Factorization(s1=s1, s2=s2, s1_square=k1, s2_square=k2)
 
 
+def _conjugator(a: QMatrix, cert: Certificate, target: str, flavor: str,
+                need: str) -> QMatrix:
+    if cert.target != target or cert.flavor != flavor:
+        raise FlavorError(f"need {need}")
+    if cert.g.n_rows != a.n_rows:
+        raise ShapeError("certificate size does not match the matrix")
+    return cert.g
+
+
 def product_two_involutions(a: QMatrix, cert: Certificate) -> Factorization:
     """A = g * (gA) with g an involution conjugating A to its inverse."""
-    if cert.target != TARGET_INVERSE or cert.flavor != FLAVOR_INVOLUTION:
-        raise FlavorError("need an involution certificate for the inverse")
-    g = cert.g
-    if g.n_rows != a.n_rows:
-        raise ShapeError("certificate size does not match the matrix")
+    g = _conjugator(a, cert, TARGET_INVERSE, FLAVOR_INVOLUTION,
+                    "an involution certificate for the inverse")
     return _checked(g, g * a, a, SQUARE_PLUS, SQUARE_PLUS)
 
 
 def product_two_skew_involutions(a: QMatrix, cert: Certificate) -> Factorization:
     """A = (-g) * (gA) with g a skew-involution conjugating A to its inverse."""
-    if cert.target != TARGET_INVERSE or cert.flavor != FLAVOR_SKEW:
-        raise FlavorError("need a skew-involution certificate for the inverse")
-    g = cert.g
-    if g.n_rows != a.n_rows:
-        raise ShapeError("certificate size does not match the matrix")
+    g = _conjugator(a, cert, TARGET_INVERSE, FLAVOR_SKEW,
+                    "a skew-involution certificate for the inverse")
     return _checked(-g, g * a, a, SQUARE_MINUS, SQUARE_MINUS)
 
 
 def product_involution_skew(a: QMatrix, cert: Certificate) -> Factorization:
     """A = (Ah) * h with h an involution carrying A to -A^{-1}."""
-    if cert.target != TARGET_NEG_INVERSE or cert.flavor != FLAVOR_INVOLUTION:
-        raise FlavorError("need an involution certificate for the negated "
-                          "inverse")
-    h = cert.g
-    if h.n_rows != a.n_rows:
-        raise ShapeError("certificate size does not match the matrix")
+    h = _conjugator(a, cert, TARGET_NEG_INVERSE, FLAVOR_INVOLUTION,
+                    "an involution certificate for the negated inverse")
     return _checked(a * h, h, a, SQUARE_MINUS, SQUARE_PLUS)
 
 

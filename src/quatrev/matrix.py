@@ -13,13 +13,17 @@ computes it exactly by quaternion Gaussian elimination on A itself, as the
 product of the squared norms of the pivots (H. Aslaksen, "Quaternionic
 determinants", Math. Intelligencer 18 (1996)).
 
-The product works on integers, as FLINT's ``fmpq_mat_mul`` does: each row
-of the left factor and each column of the right factor is brought once to
-the lcm of its component denominators, every output entry accumulates its
-Hamilton products of integer 4-tuples in plain ints (a complex entry is
-(re, im, 0, 0); zero entries are skipped), and each nonzero output
-component is normalised by a single Fraction.  The entries come out as the
-same reduced Fractions an entrywise product gives.
+Product and elimination work on integers: each row (and each right column
+of a product) is brought once to the lcm of its component denominators, an
+entry becomes an integer 4-tuple (complex (re, im, 0, 0); zeros skipped)
+and each nonzero output component is normalised by one Fraction, so the
+entries equal those of Fraction-by-Fraction arithmetic.  The product
+accumulates Hamilton products in plain ints, as FLINT's ``fmpq_mat_mul``
+does.  Elimination (``qdet`` forward, ``inverse`` Gauss-Jordan) is
+fraction-free, after Bareiss (Math. Comp. 22, 1968): a row becomes
+N(p)*row - (x*conj(p))*pivot row, divided by the gcd of its entries.  The
+real factors put on rows are kept as two ints; a real factor c on a row
+multiplies the Study determinant by c^2.
 """
 from __future__ import annotations
 
@@ -56,6 +60,85 @@ def _integer_parts(entries, zero, parts):
     return den, ints
 
 
+def _hmul(p, q):
+    """Hamilton product of two integer 4-tuples."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+
+
+def _conj_norm(p):
+    """Conjugate and squared norm of an integer 4-tuple."""
+    p0, p1, p2, p3 = p
+    return (p0, -p1, -p2, -p3), p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+
+
+def _entry(build, s, den):
+    """The scalar s/den for an integer 4-tuple s, one Fraction a component."""
+    s0, s1, s2, s3 = s
+    return build(Fraction(s0, den) if s0 else _F_ZERO,
+                 Fraction(s1, den) if s1 else _F_ZERO,
+                 Fraction(s2, den) if s2 else _F_ZERO,
+                 Fraction(s3, den) if s3 else _F_ZERO)
+
+
+def _eliminate(m, full):
+    """Fraction-free quaternion elimination on the integer rows of m.
+
+    Each row is scaled once to its common denominator (and, if ``full``,
+    extended by that denominator times its row of the identity).  In column
+    ``col`` the first nonzero entry p at or below row ``col`` is swapped up
+    as pivot; every row below it (every other row if ``full``) with entry x
+    there becomes N(p)*row - (x*conj(p))*pivot row, a left multiple that
+    clears x, divided by the gcd of its components.  Returns (rows, num,
+    den), num/den the product of every real factor put on a row, so the
+    Study determinant grew by (num/den)^2; rows is None if m is singular.
+    """
+    n, num, den = m.n_rows, 1, 1
+    rows = []
+    for i, row in enumerate(m.entries):
+        d, ints = _integer_parts(row, m._szero, m._parts)
+        rows.append(ints + [(d, 0, 0, 0) if j == i else None
+                            for j in range(n)] if full else ints)
+        num *= d
+    for col in range(n):
+        k = next((r for r in range(col, n) if rows[r][col]), None)
+        if k is None:
+            return None, num, den
+        rows[col], rows[k] = rows[k], rows[col]
+        top = rows[col]
+        pbar, norm = _conj_norm(top[col])
+        live = [(j, y) for j, y in enumerate(top) if j > col and y]
+        for r in range(n) if full else range(col + 1, n):
+            row = rows[r]
+            if r == col or not row[col]:
+                continue
+            f0, f1, f2, f3 = _hmul(row[col], pbar)
+            new = [e and (norm * e[0], norm * e[1], norm * e[2], norm * e[3])
+                   for e in row]
+            new[col] = None
+            for j, (y0, y1, y2, y3) in live:
+                e0, e1, e2, e3 = new[j] or (0, 0, 0, 0)
+                e0 -= f0 * y0 - f1 * y1 - f2 * y2 - f3 * y3
+                e1 -= f0 * y1 + f1 * y0 + f2 * y3 - f3 * y2
+                e2 -= f0 * y2 - f1 * y3 + f2 * y0 + f3 * y1
+                e3 -= f0 * y3 + f1 * y2 - f2 * y1 + f3 * y0
+                new[j] = (e0, e1, e2, e3) if e0 or e1 or e2 or e3 else None
+            g = math.gcd(*(c for e in new if e for c in e))
+            if not g:
+                return None, num, den
+            if g > 1:
+                new = [e and (e[0] // g, e[1] // g, e[2] // g, e[3] // g)
+                       for e in new]
+            rows[r] = new
+            num *= norm
+            den *= g
+    return rows, num, den
+
+
 class _Dense:
     """Shared implementation; subclasses pin the scalar zero/one and how an
     entry splits into, and is built from, four rational components."""
@@ -84,20 +167,16 @@ class _Dense:
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int | None = None):
         n_cols = n_rows if n_cols is None else n_cols
-        z = cls._szero
-        return cls([[z] * n_cols for _ in range(n_rows)])
+        return cls([[cls._szero] * n_cols for _ in range(n_rows)])
 
     @classmethod
     def identity(cls, n: int):
-        z, o = cls._szero, cls._sone
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.scalar(n, cls._sone)
 
     @classmethod
     def diagonal(cls, values: Sequence):
-        z = cls._szero
-        n = len(values)
-        return cls([[values[i] if i == j else z for j in range(n)]
-                    for i in range(n)])
+        return cls([[v if i == j else cls._szero for j in range(len(values))]
+                    for i, v in enumerate(values)])
 
     @classmethod
     def scalar(cls, n: int, value):
@@ -111,9 +190,6 @@ class _Dense:
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
-
-    def row(self, i: int):
-        return self.entries[i]
 
     def transpose(self):
         return type(self)(
@@ -177,43 +253,33 @@ class _Dense:
                     s1 += p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
                     s2 += p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
                     s3 += p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
-                if s0 or s1 or s2 or s3:
-                    den = row_den * col_den
-                    out_row.append(build(
-                        Fraction(s0, den) if s0 else _F_ZERO,
-                        Fraction(s1, den) if s1 else _F_ZERO,
-                        Fraction(s2, den) if s2 else _F_ZERO,
-                        Fraction(s3, den) if s3 else _F_ZERO))
-                else:
-                    out_row.append(z)
+                out_row.append(_entry(build, (s0, s1, s2, s3),
+                                      row_den * col_den)
+                               if s0 or s1 or s2 or s3 else z)
             out.append(out_row)
         return type(self)(out)
 
     def inverse(self):
-        """Exact inverse by elimination with left-multiplying row operations."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination.
+
+        Runs ``_eliminate`` on the integer rows of [D*A | D], D the diagonal
+        of row denominators.  The left half ends diagonal, p_r in row r, and
+        the right half R satisfies R*A = diag(p_r), so row r of the inverse
+        is conj(p_r)*R_r / |p_r|^2: one Fraction per nonzero component.
+        Raises ``SingularError`` exactly when A is singular.
+        """
         if not self.is_square:
             raise ShapeError("only square matrices have inverses")
-        n = self.n_rows
-        z, o = self._szero, self._sone
-        work = [list(row) + [o if i == j else z for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n)
-                              if work[r][col] != z), None)
-            if pivot_row is None:
-                raise SingularError("matrix is singular")
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-            pinv = work[col][col].inverse()
-            work[col] = [pinv * x for x in work[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = work[r][col]
-                if factor == z:
-                    continue
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-        return type(self)([row[n:] for row in work])
+        rows, _, _ = _eliminate(self, full=True)
+        if rows is None:
+            raise SingularError("matrix is singular")
+        z, build, n = self._szero, self._build, self.n_rows
+        out = []
+        for r, row in enumerate(rows):
+            pbar, norm = _conj_norm(row[r])
+            out.append([_entry(build, _hmul(pbar, e), norm) if e else z
+                        for e in row[n:]])
+        return type(self)(out)
 
     def _expect_same_shape(self, other):
         if type(self) is not type(other):
@@ -260,10 +326,6 @@ class QMatrix(_Dense):
     @staticmethod
     def _parts(x):
         return (x.a, x.b, x.c, x.d)
-
-    @property
-    def is_complex(self) -> bool:
-        return all(x.is_complex for row in self.entries for x in row)
 
     def to_cmatrix(self) -> CMatrix:
         return CMatrix([[x.to_gaussian() for x in row]
@@ -334,35 +396,20 @@ def phi_embed(a: QMatrix) -> CMatrix:
 def qdet(a: QMatrix) -> Fraction:
     """Study determinant of a quaternionic matrix: det of its complex embedding.
 
-    Eliminates on A directly with left row operations.  Row swaps and adding
-    a left multiple of one row to another leave the Study determinant
-    unchanged, so it is the product of |pivot|^2 over the triangular result.
+    Runs ``_eliminate`` forward on the integer rows of A.  Row swaps and
+    adding left multiples of rows leave the Study determinant unchanged and
+    a real factor c on a row multiplies it by c^2, so it is the product of
+    |pivot|^2 over the triangular result divided by the square of every real
+    factor (row denominators, pivot norms, less row gcds): one Fraction.
     Always an exact nonnegative rational; zero exactly when A is singular.
     """
     if not a.is_square:
         raise ShapeError("determinant needs a square matrix")
-    n = a.n_rows
-    rows = [list(row) for row in a.entries]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n)
-                          if not rows[r][col].is_zero), None)
-        if pivot_row is None:
-            return Fraction(0)
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        top = rows[col]
-        pivot = top[col]
-        det *= pivot.norm_sq()
-        pinv = pivot.inverse()
-        live = [(j, top[j]) for j in range(col + 1, n) if not top[j].is_zero]
-        for row in rows[col + 1:]:
-            x = row[col]
-            if x.is_zero:
-                continue
-            factor = x * pinv
-            for j, y in live:
-                row[j] = row[j] - factor * y
-    return det
+    rows, num, den = _eliminate(a, full=False)
+    if rows is None:
+        return Fraction(0)
+    pivots = math.prod(_conj_norm(row[k])[1] for k, row in enumerate(rows))
+    return Fraction(pivots * den * den, num * num)
 
 
 def is_involution(g: QMatrix) -> bool:

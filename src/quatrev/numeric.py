@@ -165,6 +165,10 @@ def _persistent_classes(folded: np.ndarray, cfg: NumericConfig
     return [r["classes"] for r in runs]
 
 
+_NO_PAIRING = ("no clustering radius below the cap gives even conjugate "
+               "pairs; the spectrum does not look quaternionic")
+
+
 def phi_eigenvalues(f: np.ndarray,
                     cfg: NumericConfig = NumericConfig()
                     ) -> list[tuple[complex, int]]:
@@ -177,9 +181,7 @@ def phi_eigenvalues(f: np.ndarray,
     """
     candidates = _persistent_classes(_folded_eigenvalues(f), cfg)
     if not candidates:
-        raise PairingError(
-            "no clustering radius below the cap gives even conjugate "
-            "pairs; the spectrum does not look quaternionic")
+        raise PairingError(_NO_PAIRING)
     return candidates[0]
 
 
@@ -306,9 +308,7 @@ def jordan_spec_numeric(f: np.ndarray,
             last_err = err
     if last_err is not None:
         raise last_err
-    raise PairingError(
-        "no clustering radius below the cap gives even conjugate pairs; "
-        "the spectrum does not look quaternionic")
+    raise PairingError(_NO_PAIRING)
 
 
 def _spec_from_classes(f: np.ndarray, classes: list[tuple[complex, int]],

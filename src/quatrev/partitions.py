@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import SpecError
 
@@ -48,13 +49,7 @@ class Partition:
     @property
     def exponent_form(self) -> tuple[tuple[int, int], ...]:
         """Distinct parts with multiplicities, largest part first."""
-        out = []
-        for p in self.parts:
-            if out and out[-1][0] == p:
-                out[-1][1] += 1
-            else:
-                out.append([p, 1])
-        return tuple((d, t) for d, t in out)
+        return tuple((d, len(list(run))) for d, run in groupby(self.parts))
 
     def conjugate(self) -> "Partition":
         """Column counting: part j of the conjugate is #{i : parts[i] >= j}."""

@@ -24,11 +24,11 @@ flavor (involution or skew-involution), and determinant one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .canonical import JordanSpec, jordan_block, jordan_matrix
+from .canonical import JordanSpec, jordan_block, jordan_matrix, offsets
 from .classify import (inverse_pairing, neg_inverse_pairing,
                        odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
@@ -108,12 +108,7 @@ class VerifyReport:
         return self.residual_zero and self.flavor_verified and self.det_one
 
     def to_json(self) -> dict:
-        return {
-            "residual_zero": self.residual_zero,
-            "flavor_verified": self.flavor_verified,
-            "det_one": self.det_one,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def check_certificate(g: QMatrix, a: QMatrix, target: str,
@@ -192,12 +187,8 @@ def weyr_reverser(alpha: GaussianRational, p) -> CMatrix:
     sizes = p.conjugate().parts
     r = len(sizes)
     abar = alpha.conjugate()
-    offs = []
-    acc = 0
-    for s in sizes:
-        offs.append(acc)
-        acc += s
-    n = acc
+    offs = offsets(sizes)
+    n = sum(sizes)
     grid = [[GR_ZERO] * n for _ in range(n)]
 
     def put_scaled_identity(bi, bj, coef):

@@ -71,6 +71,62 @@ def naive_mul(x, y):
     return type(x)(out)
 
 
+def naive_inverse(x):
+    """Gauss-Jordan on Fraction entries; independent oracle for ``inverse``."""
+    if not x.is_square:
+        raise ShapeError("only square matrices have inverses")
+    n = x.n_rows
+    z, o = x._szero, x._sone
+    work = [list(row) + [o if i == j else z for j in range(n)]
+            for i, row in enumerate(x.entries)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n)
+                          if work[r][col] != z), None)
+        if pivot_row is None:
+            raise SingularError("matrix is singular")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        pinv = work[col][col].inverse()
+        work[col] = [pinv * e for e in work[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = work[r][col]
+            if factor == z:
+                continue
+            work[r] = [e - factor * y for e, y in zip(work[r], work[col])]
+    return type(x)([row[n:] for row in work])
+
+
+def naive_qdet(a: QMatrix) -> Fraction:
+    """Elimination on Fraction quaternions, product of |pivot|^2; independent
+    oracle for ``qdet``."""
+    if not a.is_square:
+        raise ShapeError("determinant needs a square matrix")
+    n = a.n_rows
+    rows = [list(row) for row in a.entries]
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n)
+                          if not rows[r][col].is_zero), None)
+        if pivot_row is None:
+            return Fraction(0)
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        top = rows[col]
+        pivot = top[col]
+        det *= pivot.norm_sq()
+        pinv = pivot.inverse()
+        live = [(j, top[j]) for j in range(col + 1, n) if not top[j].is_zero]
+        for row in rows[col + 1:]:
+            x = row[col]
+            if x.is_zero:
+                continue
+            factor = x * pinv
+            for j, y in live:
+                row[j] = row[j] - factor * y
+    return det
+
+
 def cofactor_det(c: CMatrix) -> GaussianRational:
     """Naive Laplace expansion; independent check for the fast determinant."""
     n = c.n_rows

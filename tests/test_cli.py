@@ -2,9 +2,13 @@
 import contextlib
 import io
 import json
+import math
+import pathlib
+import re
 import sys
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from quatrev.canonical import JordanSpec, jordan_matrix
 from quatrev.cli import (EXIT_NOT_CONSTRUCTIBLE, EXIT_NUMERIC, EXIT_OK,
@@ -413,3 +417,120 @@ def test_linalg_failure_is_a_numeric_exit(monkeypatch):
     assert code == EXIT_NUMERIC and out == ""
     _one_line_error(err)
     assert "SVD did not converge" in err
+
+
+def test_decompose_general_certificate_names_its_flavor():
+    inputs = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+    code, out, err = run("decompose",
+                         "--matrix", str(inputs / "inv-skew.matrix.json"),
+                         "--cert", str(inputs / "inv-general.cert.json"))
+    assert code == EXIT_NOT_CONSTRUCTIBLE
+    assert out == ""
+    assert "general" in err and "skew-involution certificate for" not in err
+    _one_line_error(err)
+
+
+def test_usage_and_write_errors_are_one_line(tmp_path):
+    for argv in (("omega", "--lambda", "2", "--n", "x"), ("certify",),
+                 ("classify", "--no-such-flag"),
+                 ("weyr", "--partition", "2", "--out", str(tmp_path))):
+        code, out, err = run(*argv)
+        assert code == EXIT_PARSE, argv
+        assert out == ""
+        _one_line_error(err)
+
+
+# -- hostile input: any text or JSON into any subcommand -------------------
+
+_GOLDEN_INPUTS = sorted(
+    str(p) for p in
+    (pathlib.Path(__file__).resolve().parent / "golden" / "inputs").iterdir())
+
+
+def _sizes_at_most_12(text):
+    return all(int(d) <= 12 for d in re.findall(r"\d+", text))
+
+
+_json_doc = st.recursive(
+    st.none() | st.booleans() | st.integers(-20, 12) | st.text(max_size=8)
+    | st.sampled_from([0.5, -1.5, 1e-12, math.nan, math.inf, -math.inf]),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(
+                      st.sampled_from(["n", "m", "entries", "blocks",
+                                       "eigenvalue", "size", "target",
+                                       "flavor", "g", "checks", "re", "im"])
+                      | st.text(max_size=6), kids, max_size=4)),
+    max_leaves=12).map(json.dumps)
+_compact_spec = st.lists(
+    st.tuples(st.sampled_from(["1", "-1", "2", "1/2", "-1/2", "i", "-i",
+                               "3/5+4/5i", "1+i", "0", "x", ""]),
+              st.integers(-1, 12)),
+    max_size=3).map(lambda blocks: "[" + ",".join(
+        f"({lam},{size})" for lam, size in blocks) + "]")
+_any_value = st.one_of(
+    st.text(max_size=24).filter(lambda t: "/" not in t and "\\" not in t),
+    _json_doc, _compact_spec,
+    st.sampled_from(["-", "", ".", "general", "1e-9", "nan", "-inf", "-1"]),
+).filter(_sizes_at_most_12)
+_inputs = st.sampled_from(_GOLDEN_INPUTS)
+_kinds = st.sampled_from(["inverse", "neg-inverse"])
+_flavors = st.sampled_from(["any", "involution", "skew-involution"])
+_tolerance = st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "1e300"])
+# each flag's well-formed values, drawn about as often as hostile ones
+_FLAGS = {
+    "classify": {"--jordan": _compact_spec, "--matrix": _inputs,
+                 "--mode": st.sampled_from(["exact", "numeric"]),
+                 "--rank-tol": _tolerance, "--eig-tol": _tolerance,
+                 "--unit-tol": _tolerance},
+    "certify": {"--jordan": _compact_spec, "--target": _kinds,
+                "--flavor": _flavors, "--emit-matrix": None},
+    "verify": {"--matrix": _inputs, "--cert": _inputs},
+    "decompose": {"--jordan": _compact_spec, "--matrix": _inputs,
+                  "--cert": _inputs, "--target": _kinds, "--flavor": _flavors},
+    "omega": {"--lambda": st.sampled_from(["2", "1/2", "i", "3/5+4/5i",
+                                           "2,0", "0"]),
+              "--n": st.integers(-1, 12).map(str)},
+    "weyr": {"--partition": st.sampled_from(["3,2,2", "[3^2,1^1]", "1"])},
+}
+
+
+@st.composite
+def _hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, good in _FLAGS[command].items():
+        how = draw(st.sampled_from(["well-formed", "hostile", "absent"]))
+        if how != "absent":
+            argv.append(flag)
+        if how != "absent" and good is not None:
+            argv.append(draw(good if how == "well-formed" else _any_value))
+    if draw(st.sampled_from([False, False, True])):
+        argv += ["--out", draw(_any_value)]
+    return argv
+
+
+def test_cli_hostile_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
+    """Any text or JSON for any flag of any subcommand, in process: the exit
+    code (argparse's included) is 0, 2, 3, 4 or 5, no exception escapes,
+    and stderr holds at most one line and no traceback.
+
+    Drawn values and stdin carry no number above 12, so ``--n`` and every
+    spec block size stay at most 12; drawn text holds no path separator, so
+    nothing outside the test's temporary directory is written and only the
+    golden inputs are read from outside it.  The unbounded-size defect
+    (there is no ``--max-size`` cap, while reverser entries grow like
+    lambda^(-2n)) is still open and not covered here.
+    """
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(_hostile_argv(),
+           (st.text(max_size=40) | _json_doc).filter(_sizes_at_most_12))
+    def check(argv, stdin):
+        code, _, err = run(*argv, stdin=stdin)
+        assert code in {EXIT_OK, EXIT_PARSE, EXIT_NUMERIC,
+                        EXIT_NOT_CONSTRUCTIBLE, EXIT_VERIFY_FAILED}, argv
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) <= 1, (argv, err)
+
+    check()

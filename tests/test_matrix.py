@@ -2,10 +2,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (cofactor_det, conjugacy_residual, det_bareiss,
-                      naive_mul, rand_invertible, rand_qmatrix, rand_quat,
-                      rng_for, sweep_blocks)
+                      naive_inverse, naive_mul, naive_qdet, rand_invertible,
+                      rand_qmatrix, rand_quat, rng_for, sweep_blocks)
 from quatrev.canonical import JordanSpec
 from quatrev.errors import NotConstructible, ShapeError, SingularError
 from quatrev.matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
@@ -270,3 +271,98 @@ def test_product_of_mixed_types_is_not_implemented():
         QMatrix.zeros(2, 3) * QMatrix.zeros(2, 3)
     with pytest.raises(ShapeError):
         CMatrix.zeros(1, 2) * CMatrix.zeros(1, 2)
+
+
+# -- the integer elimination kernel against the Fraction-loop oracles -----
+
+
+def _hostile_cmatrix(rng, n):
+    return CMatrix([[GaussianRational(_hostile_fraction(rng),
+                                      _hostile_fraction(rng))
+                     for _ in range(n)] for _ in range(n)])
+
+
+def _zero_leading_pivot(m):
+    """m with its (0, 0) entry zeroed, so elimination must swap rows."""
+    rows = [list(row) for row in m.entries]
+    rows[0][0] = m._szero
+    return type(m)(rows)
+
+
+def _right_multiple_last_column(rng, m):
+    """m whose last column is its first times a scalar on the right: singular
+    over H, but only the last pivot finds it."""
+    q = rand_quat(rng, -3, 3, 2)
+    if isinstance(m, CMatrix):
+        q = q.complex_parts()[0]
+    rows = [list(row) for row in m.entries]
+    for row in rows:
+        row[-1] = row[0] * q
+    return type(m)(rows)
+
+
+def _inverse_or_singular(inverse, m):
+    try:
+        return inverse(m)
+    except SingularError:
+        return SingularError
+
+
+def test_qdet_matches_oracle_dense_quaternion():
+    rng = rng_for("elim-qdet")
+    for n in range(1, 8):
+        for _ in range(3):
+            m = _hostile_qmatrix(rng, n, n)
+            assert qdet(m) == naive_qdet(m)
+            swapped = _zero_leading_pivot(m)
+            assert qdet(swapped) == naive_qdet(swapped)
+        if n > 1:
+            singular = _right_multiple_last_column(
+                rng, rand_qmatrix(rng, n, -3, 3, 2))
+            assert naive_qdet(singular) == 0 == qdet(singular)
+    assert qdet(QMatrix([[Q_ZERO, Q_ONE], [Q_J, Q_ZERO]])) == 1
+    with pytest.raises(ShapeError):
+        qdet(QMatrix.zeros(2, 3))
+
+
+def test_inverse_matches_oracle():
+    rng = rng_for("elim-inverse")
+    for n in range(1, 8):
+        for m in (_hostile_qmatrix(rng, n, n), _hostile_cmatrix(rng, n)):
+            want = _inverse_or_singular(naive_inverse, m)
+            assert _inverse_or_singular(type(m).inverse, m) == want
+            if want is not SingularError:
+                assert m * want == type(m).identity(n)
+            swapped = _zero_leading_pivot(m)
+            assert (_inverse_or_singular(type(m).inverse, swapped)
+                    == _inverse_or_singular(naive_inverse, swapped))
+        for m in (rand_qmatrix(rng, n, -3, 3, 2),
+                  CMatrix([[rand_quat(rng, -3, 3, 2).complex_parts()[0]
+                            for _ in range(n)] for _ in range(n)])):
+            if n > 1:
+                m = _right_multiple_last_column(rng, m)
+                with pytest.raises(SingularError):
+                    naive_inverse(m)
+                with pytest.raises(SingularError):
+                    m.inverse()
+    for cls in (QMatrix, CMatrix):
+        with pytest.raises(ShapeError):
+            cls.zeros(3, 2).inverse()
+
+
+_sparse_quat = st.one_of(
+    st.just(Q_ZERO),
+    st.builds(Quaternion, *(st.fractions(min_value=-9, max_value=9,
+                                         max_denominator=4)
+                            for _ in range(4))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_sparse_quat, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_elimination_kernel_matches_oracles_on_sparse_matrices(rows):
+    m = QMatrix(rows)
+    assert qdet(m) == naive_qdet(m)
+    assert (_inverse_or_singular(QMatrix.inverse, m)
+            == _inverse_or_singular(naive_inverse, m))
