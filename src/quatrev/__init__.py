@@ -21,7 +21,7 @@ Functions (selection)
 ---------------------
 classify_psl(spec)              all reversibility flags at once
 assemble_reverser(spec, ...)    conjugator certificate for a whole spec
-product_two_involutions(a, c)   A = s1 s2 with s1^2 = s2^2 = I
+factorize(a, c)                 A = s1 s2 from a verified certificate
 jordan_spec_numeric(f)          exact spec from a float matrix
 
 Example
@@ -42,15 +42,15 @@ from .partitions import (Partition, WeyrStructure, parse_partition,
 from .canonical import (JordanSpec, basic_weyr_matrix, jordan_block,
                         jordan_matrix, jordan_weyr_permutation,
                         weyr_centralizer_sample)
-from .classify import (Classification, classify_psl, inverse_pairing,
-                       is_neg_reversible, is_reversible,
+from .classify import (Classification, classify_psl, involution_pairing,
+                       inverse_pairing, is_neg_reversible, is_reversible,
                        is_strongly_reversible, neg_inverse_pairing)
 from .reversers import (Certificate, ReversibleShape, assemble_reverser,
                         block_reverser, certify, neg_reverser_i_matrix,
                         shape_matrix, shape_reverser, weyr_reverser)
-from .decompose import (Factorization, VerifyReport, product_involution_skew,
-                        product_two_involutions, product_two_skew_involutions,
-                        verify_certificate)
+from .decompose import (Factorization, VerifyReport, factorize,
+                        product_involution_skew, product_two_involutions,
+                        product_two_skew_involutions, verify_certificate)
 from .numeric import (NumericConfig, SnapReport, classify_numeric,
                       jordan_spec_numeric, phi_eigenvalues, qmatrix_to_float,
                       weyr_structure_numeric)

@@ -85,6 +85,14 @@ def inverse_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[str]]
     return _pair_blocks(spec.blocks, _is_unit, class_rep_inverse)
 
 
+def involution_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[str]]:
+    """Pairs for an involution conjugator: inverse partners as above, and
+    non-real unit blocks with an equal block (their class is their own
+    inverse class); only +-1 blocks stay single."""
+    return _pair_blocks(spec.blocks, lambda lam: lam.im == 0 and _is_unit(lam),
+                        class_rep_inverse)
+
+
 def neg_inverse_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[str]]:
     """Pair blocks with the negated-inverse class; only i is self-paired."""
     return _pair_blocks(spec.blocks, lambda lam: lam == GR_I,

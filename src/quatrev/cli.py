@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -16,16 +17,16 @@ import numpy as np
 
 from .canonical import JordanSpec, jordan_matrix
 from .classify import classify_psl
-from .decompose import (product_involution_skew, product_two_involutions,
-                        product_two_skew_involutions, verify_certificate)
-from .errors import (FlavorError, NotConstructible, PairingError,
-                     QuatrevError, RankProfileError, SingularError)
+from .decompose import factorize, verify_certificate
+from .errors import (CertificateError, FlavorError, NotConstructible,
+                     PairingError, QuatrevError, RankProfileError,
+                     SingularError)
 from .matrix import QMatrix
 from .numeric import (NumericConfig, classify_numeric, float_matrix_from_json)
 from .partitions import parse_partition, weyr_structure_of
-from .reversers import (FLAVOR_GENERAL, FLAVOR_INVOLUTION, FLAVOR_SKEW,
-                        TARGET_INVERSE, TARGET_NEG_INVERSE, assemble_reverser,
-                        block_reverser, Certificate)
+from .reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
+                        TARGET_NEG_INVERSE, assemble_reverser, block_reverser,
+                        Certificate)
 from .scalar import GaussianRational, parse_complex, parse_rational
 
 EXIT_OK = 0
@@ -117,6 +118,17 @@ def _emit(obj, out_path):
         raise _CliParseError(f"cannot write {out_path}: {exc}") from exc
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance flag's value: a finite number, zero or more."""
+    try:
+        if 0 <= (value := float(text)) < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite number >= 0, got {text!r}")
+
+
 def _numeric_config(args) -> NumericConfig:
     given = {"rank_tol": args.rank_tol, "eig_cluster_tol": args.eig_tol,
              "unit_tol": args.unit_tol}
@@ -184,19 +196,7 @@ def cmd_decompose(args) -> int:
             raise _CliParseError(
                 "decompose needs --jordan or both --matrix and --cert")
         a, cert = _load_matrix_and_cert(args)
-        if not verify_certificate(a, cert).ok:
-            print("certificate failed verification", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-    if cert.flavor == FLAVOR_GENERAL:
-        raise FlavorError("a general certificate gives no factorization; "
-                          "need an involution or skew-involution certificate")
-    if cert.target == TARGET_NEG_INVERSE:
-        fact = product_involution_skew(a, cert)
-    elif cert.flavor == FLAVOR_INVOLUTION:
-        fact = product_two_involutions(a, cert)
-    else:
-        fact = product_two_skew_involutions(a, cert)
-    _emit(fact.to_json(), args.out)
+    _emit(factorize(a, cert).to_json(), args.out)
     return EXIT_OK
 
 
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         if numeric:
             p.add_argument("--mode", choices=["exact", "numeric"])
             for flag in ("--rank-tol", "--eig-tol", "--unit-tol"):
-                p.add_argument(flag, type=float)
+                p.add_argument(flag, type=_tolerance)
 
     def kind(p):
         p.add_argument("--target", default=TARGET_INVERSE,
@@ -296,6 +296,7 @@ _FAILURES = (
       FloatingPointError), "numeric recovery failed: ", EXIT_NUMERIC),
     ((NotConstructible, FlavorError), "not constructible: ",
      EXIT_NOT_CONSTRUCTIBLE),
+    ((CertificateError,), "", EXIT_VERIFY_FAILED),
     ((_CliParseError, QuatrevError), "error: ", EXIT_PARSE),
 )
 

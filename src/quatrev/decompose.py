@@ -1,22 +1,21 @@
 """Factorizations into two involutions or two skew-involutions.
 
-From a conjugator g carrying A to A^{-1}: if g is an involution then
-A = g * (gA) with both factors involutions; if g is a skew-involution then
-A = (-g) * (gA) with both factors squaring to -I.  From an involution h
-carrying A to -A^{-1}: A = (Ah) * h with the first factor a skew-involution
-(hAh = -A^{-1} gives (Ah)^2 = -I) and the second an involution.  Each
-factorization re-verifies the factor squares and the product before
-returning.
+A certificate that passes ``verify_certificate`` splits A by algebra alone:
+A g A = g with g^2 = I gives A = g (gA) and (gA)^2 = g (AgA) = I; with
+g^2 = -I it gives A = (-g)(gA) and (gA)^2 = g^2 = -I; and A h A = -h with
+h^2 = I gives A = (Ah) h and (Ah)^2 = (AhA) h = -I.  That one check stands
+for the factor squares and the product.  A "general" certificate (its
+square unchecked) gives no factorization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificateError, FlavorError, ShapeError
-from .matrix import QMatrix, is_involution, is_skew_involution
-from .reversers import (Certificate, FLAVOR_INVOLUTION, FLAVOR_SKEW,
-                        TARGET_INVERSE, TARGET_NEG_INVERSE, VerifyReport,
-                        check_certificate)
+from .errors import CertificateError, FlavorError
+from .matrix import QMatrix
+from .reversers import (Certificate, FLAVOR_GENERAL, FLAVOR_INVOLUTION,
+                        FLAVOR_SKEW, TARGET_INVERSE, TARGET_NEG_INVERSE,
+                        VerifyReport, check_certificate)
 
 SQUARE_PLUS = "+I"
 SQUARE_MINUS = "-I"
@@ -47,54 +46,57 @@ class Factorization:
         )
 
 
-def _square_kind(m: QMatrix) -> str:
-    if is_involution(m):
-        return SQUARE_PLUS
-    if is_skew_involution(m):
-        return SQUARE_MINUS
-    raise CertificateError("factor does not square to +I or -I")
-
-
-def _checked(s1: QMatrix, s2: QMatrix, a: QMatrix,
-             want1: str, want2: str) -> Factorization:
-    k1, k2 = _square_kind(s1), _square_kind(s2)
-    if (k1, k2) != (want1, want2):
-        raise CertificateError("factor squares came out wrong")
-    if s1 * s2 != a:
-        raise CertificateError("factors do not multiply back to the input")
-    return Factorization(s1=s1, s2=s2, s1_square=k1, s2_square=k2)
-
-
-def _conjugator(a: QMatrix, cert: Certificate, target: str, flavor: str,
-                need: str) -> QMatrix:
-    if cert.target != target or cert.flavor != flavor:
-        raise FlavorError(f"need {need}")
-    if cert.g.n_rows != a.n_rows:
-        raise ShapeError("certificate size does not match the matrix")
-    return cert.g
-
-
-def product_two_involutions(a: QMatrix, cert: Certificate) -> Factorization:
-    """A = g * (gA) with g an involution conjugating A to its inverse."""
-    g = _conjugator(a, cert, TARGET_INVERSE, FLAVOR_INVOLUTION,
-                    "an involution certificate for the inverse")
-    return _checked(g, g * a, a, SQUARE_PLUS, SQUARE_PLUS)
-
-
-def product_two_skew_involutions(a: QMatrix, cert: Certificate) -> Factorization:
-    """A = (-g) * (gA) with g a skew-involution conjugating A to its inverse."""
-    g = _conjugator(a, cert, TARGET_INVERSE, FLAVOR_SKEW,
-                    "a skew-involution certificate for the inverse")
-    return _checked(-g, g * a, a, SQUARE_MINUS, SQUARE_MINUS)
-
-
-def product_involution_skew(a: QMatrix, cert: Certificate) -> Factorization:
-    """A = (Ah) * h with h an involution carrying A to -A^{-1}."""
-    h = _conjugator(a, cert, TARGET_NEG_INVERSE, FLAVOR_INVOLUTION,
-                    "an involution certificate for the negated inverse")
-    return _checked(a * h, h, a, SQUARE_MINUS, SQUARE_PLUS)
+# (target, flavor) -> (split of A into (s1, s2) from g, s1^2, s2^2)
+_SPLITS = {
+    (TARGET_INVERSE, FLAVOR_INVOLUTION):
+        (lambda g, a: (g, g * a), SQUARE_PLUS, SQUARE_PLUS),
+    (TARGET_INVERSE, FLAVOR_SKEW):
+        (lambda g, a: (-g, g * a), SQUARE_MINUS, SQUARE_MINUS),
+    (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION):
+        (lambda g, a: (a * g, g), SQUARE_MINUS, SQUARE_PLUS),
+}
 
 
 def verify_certificate(a: QMatrix, cert: Certificate) -> VerifyReport:
     """Recompute every certificate check from scratch against A."""
     return check_certificate(cert.g, a, cert.target, cert.flavor)
+
+
+def factorize(a: QMatrix, cert: Certificate) -> Factorization:
+    """A = s1 s2 read off a certificate that passes ``verify_certificate``."""
+    if not verify_certificate(a, cert).ok:
+        raise CertificateError("certificate failed verification")
+    split = _SPLITS.get((cert.target, cert.flavor))
+    if split is None:
+        raise FlavorError(
+            "a general certificate gives no factorization; need an "
+            "involution or skew-involution certificate"
+            if cert.flavor == FLAVOR_GENERAL
+            else "need an involution certificate for the negated inverse")
+    factors, s1_square, s2_square = split
+    return Factorization(*factors(cert.g, a), s1_square, s2_square)
+
+
+def _of_kind(a: QMatrix, cert: Certificate, target: str, flavor: str,
+             need: str) -> Factorization:
+    if (cert.target, cert.flavor) != (target, flavor):
+        raise FlavorError(f"need {need}")
+    return factorize(a, cert)
+
+
+def product_two_involutions(a: QMatrix, cert: Certificate) -> Factorization:
+    """A = g * (gA) with g an involution conjugating A to its inverse."""
+    return _of_kind(a, cert, TARGET_INVERSE, FLAVOR_INVOLUTION,
+                    "an involution certificate for the inverse")
+
+
+def product_two_skew_involutions(a: QMatrix, cert: Certificate) -> Factorization:
+    """A = (-g) * (gA) with g a skew-involution conjugating A to its inverse."""
+    return _of_kind(a, cert, TARGET_INVERSE, FLAVOR_SKEW,
+                    "a skew-involution certificate for the inverse")
+
+
+def product_involution_skew(a: QMatrix, cert: Certificate) -> Factorization:
+    """A = (Ah) * h with h an involution carrying A to -A^{-1}."""
+    return _of_kind(a, cert, TARGET_NEG_INVERSE, FLAVOR_INVOLUTION,
+                    "an involution certificate for the negated inverse")

@@ -226,7 +226,9 @@ class _Dense:
              for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return self.map_entries(lambda x: -x)
+        # a zero stays the shared zero, which products skip by identity
+        z = self._szero
+        return self.map_entries(lambda x: z if x is z else -x)
 
     def __mul__(self, other):
         if type(self) is not type(other):

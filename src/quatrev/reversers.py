@@ -29,8 +29,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .canonical import JordanSpec, jordan_block, jordan_matrix, offsets
-from .classify import (inverse_pairing, neg_inverse_pairing,
-                       odd_unit_classes)
+from .classify import (involution_pairing, inverse_pairing,
+                       neg_inverse_pairing, odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
                      ShapeError, SpecError)
 from .matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
@@ -341,30 +341,6 @@ def neg_reverser_i_matrix(n: int) -> CMatrix:
 # assembly over full specs
 
 
-def _strong_pairing(spec: JordanSpec, pairing):
-    """Pairs for the involution construction: non-unit inverse partners plus
-    duplicated non-real unit blocks; +-1 blocks stay single."""
-    odd = odd_unit_classes(spec)
-    if odd:
-        lam, size = odd[0]
-        raise NotConstructible(
-            f"no involution conjugator: unit-modulus class {lam} occurs an "
-            f"odd number of times at block size {size}")
-    pairs = list(pairing.pairs)
-    singles = []
-    by_class: dict[tuple, list[int]] = {}
-    for idx in pairing.singletons:
-        lam, size = spec.blocks[idx]
-        if lam.im == 0:
-            singles.append(idx)
-        else:
-            by_class.setdefault((lam, size), []).append(idx)
-    for indices in by_class.values():
-        for k in range(0, len(indices), 2):
-            pairs.append((indices[k], indices[k + 1]))
-    return pairs, singles
-
-
 def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
                       flavor: str = "any") -> Certificate:
     """Full conjugator certificate for the canonical matrix of a spec.
@@ -388,21 +364,25 @@ def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
             raise NotConstructible(
                 f"not conjugate to the negative of its inverse: {reason}")
         flavor = FLAVOR_INVOLUTION
-        pairs, singles = pairing.pairs, pairing.singletons
     else:
         pairing, reason = inverse_pairing(spec)
         if pairing is None:
             raise NotConstructible(f"not conjugate to its inverse: {reason}")
-        if flavor == FLAVOR_INVOLUTION or (flavor == "any"
-                                           and not odd_unit_classes(spec)):
-            flavor = FLAVOR_INVOLUTION
-            pairs, singles = _strong_pairing(spec, pairing)
-        else:
+        odd = odd_unit_classes(spec) if flavor != FLAVOR_SKEW else None
+        if odd and flavor == FLAVOR_INVOLUTION:
+            lam, size = odd[0]
+            raise NotConstructible(
+                f"no involution conjugator: unit-modulus class {lam} occurs "
+                f"an odd number of times at block size {size}")
+        if flavor == FLAVOR_SKEW or odd:
             flavor = FLAVOR_SKEW
-            pairs, singles = pairing.pairs, pairing.singletons
+        else:
+            flavor = FLAVOR_INVOLUTION
+            pairing, _ = involution_pairing(spec)
 
     offsets = spec.block_offsets()
     blocks = [(offsets[ia], offsets[ib], spec.blocks[ia][0],
                spec.blocks[ib][0], spec.blocks[ia][1])
-              for ia, ib in [(i, i) for i in singles] + list(pairs)]
+              for ia, ib in [(i, i) for i in pairing.singletons]
+              + list(pairing.pairs)]
     return _place(jordan_matrix(spec), target, flavor, blocks)

@@ -258,6 +258,19 @@ def test_classify_float_matrix_tolerance_flags(tmp_path):
     assert json.loads(out)["classification"]["neg_reversible"] is True
 
 
+def test_tolerance_flags_must_be_finite_and_not_negative():
+    f_json = '{"n": 1, "entries": [[[2.0, 0, 0, 0]]]}'
+    for flag in ("--rank-tol", "--eig-tol", "--unit-tol"):
+        for value in ("nan", "inf", "-inf", "-1", "-1e-9", "1e999", "x", ""):
+            code, out, err = run("classify", "--matrix", f_json,
+                                 f"{flag}={value}")
+            assert code == EXIT_PARSE and out == "", (flag, value)
+            _one_line_error(err)
+            assert f"argument {flag}: " in err
+        code, out, _ = run("classify", "--matrix", f_json, flag, "0")
+        assert code == EXIT_OK and out
+
+
 def test_classify_singular_float_exit(tmp_path):
     path = tmp_path / "z.json"
     path.write_text(json.dumps(float_matrix_to_json(np.zeros((2, 2, 4)))))
@@ -428,6 +441,16 @@ def test_decompose_general_certificate_names_its_flavor():
     assert out == ""
     assert "general" in err and "skew-involution certificate for" not in err
     _one_line_error(err)
+
+
+def test_decompose_tampered_certificate_stderr():
+    inputs = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+    code, out, err = run(
+        "decompose", "--matrix", str(inputs / "inv-involution.matrix.json"),
+        "--cert", str(inputs / "inv-involution.tampered-cert.json"))
+    assert code == EXIT_VERIFY_FAILED
+    assert out == ""
+    assert err == "certificate failed verification\n"
 
 
 def test_usage_and_write_errors_are_one_line(tmp_path):

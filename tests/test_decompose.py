@@ -1,17 +1,22 @@
 """Products of two (skew-)involutions and certificate verification."""
+import dataclasses
+
 import pytest
 
 from quatrev.canonical import JordanSpec, jordan_matrix
-from quatrev.decompose import (Factorization, VerifyReport,
+from quatrev.decompose import (Factorization, VerifyReport, factorize,
                                product_involution_skew,
                                product_two_involutions,
                                product_two_skew_involutions,
                                verify_certificate)
-from quatrev.errors import CertificateError, FlavorError
+from quatrev.errors import CertificateError, FlavorError, NotConstructible
 from quatrev.matrix import QMatrix, is_involution, is_skew_involution
-from quatrev.reversers import (Certificate, FLAVOR_INVOLUTION,
-                               TARGET_NEG_INVERSE, assemble_reverser)
-from quatrev.scalar import gr, quat
+from quatrev.reversers import (Certificate, FLAVOR_INVOLUTION, FLAVOR_SKEW,
+                               TARGET_INVERSE, TARGET_NEG_INVERSE,
+                               assemble_reverser)
+from quatrev.scalar import Q_ONE, gr, quat
+
+from conftest import sweep_blocks
 
 
 def build(spec_blocks, **kw):
@@ -98,19 +103,18 @@ def test_verify_certificate_wrong_flavor_claim():
     assert report.to_json()["residual_zero"] is True
 
 
-def test_verified_factorizations_from_certificates():
-    # decomposition driven end to end by a freshly assembled certificate
-    cases = [
-        ([(gr(1), 3)], {}, product_two_involutions),
-        ([(gr("3/5", "4/5"), 1), (gr("3/5", "4/5"), 1)],
-         {"flavor": "skew-involution"}, product_two_skew_involutions),
-        ([(gr(2), 2), (gr("-1/2"), 2)], {"target": "neg-inverse"},
-         product_involution_skew),
-    ]
-    for blocks, kw, factorizer in cases:
-        a, cert = build(blocks, **kw)
-        f = factorizer(a, cert)
-        assert f.s1 * f.s2 == a
+def test_factorize_refuses_kinds_without_a_split():
+    # A = i: g = i passes every check for the negated inverse as a
+    # skew-involution (i i i = -i, i^2 = -1), a kind with no split
+    a = QMatrix([[quat(0, 1)]])
+    for flavor, word in (("skew-involution", "negated inverse"),
+                         ("general", "general")):
+        cert = Certificate(g=a, target=TARGET_NEG_INVERSE, flavor=flavor,
+                           residual_zero=True, flavor_verified=True,
+                           det_one=True)
+        assert verify_certificate(a, cert).ok
+        with pytest.raises(FlavorError, match=word):
+            factorize(a, cert)
 
 
 def test_verify_certificate_singular_matrix():
@@ -131,3 +135,51 @@ def test_product_involution_skew_singular_certificate():
                        flavor_verified=True, det_one=True)
     with pytest.raises(CertificateError):
         product_involution_skew(a, cert)
+
+
+# (target, flavor) -> factorization and the squares it reports
+_PRODUCTS = {
+    (TARGET_INVERSE, FLAVOR_INVOLUTION): (product_two_involutions,
+                                          ("+I", "+I")),
+    (TARGET_INVERSE, FLAVOR_SKEW): (product_two_skew_involutions,
+                                    ("-I", "-I")),
+    (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION): (product_involution_skew,
+                                              ("-I", "+I")),
+}
+
+
+def _tampered(g):
+    rows = [list(row) for row in g.entries]
+    rows[0][0] = rows[0][0] + Q_ONE
+    return QMatrix(rows)
+
+
+def test_sweep_factor_checks_and_refusals():
+    """Factorizations trust the one certificate check; this re-derives the
+    factor squares and the product for every admitted certificate of the
+    total-size <= 5 sweep (802 certificates, about 3 s), and checks that
+    a tampered g and a certificate of another kind are refused."""
+    done = 0
+    for blocks in sweep_blocks(max_total=5):
+        spec = JordanSpec.of(blocks)
+        a = jordan_matrix(spec)
+        ident = QMatrix.identity(a.n_rows)
+        square = {"+I": ident, "-I": -ident}
+        for kind, (product, squares) in _PRODUCTS.items():
+            try:
+                cert = assemble_reverser(spec, *kind)
+            except NotConstructible:
+                continue
+            f = product(a, cert)
+            assert (f.s1_square, f.s2_square) == squares
+            assert f.s1 * f.s1 == square[f.s1_square]
+            assert f.s2 * f.s2 == square[f.s2_square]
+            assert f.s1 * f.s2 == a
+            with pytest.raises(CertificateError):
+                product(a, dataclasses.replace(cert, g=_tampered(cert.g)))
+            for other, _ in _PRODUCTS.values():
+                if other is not product:
+                    with pytest.raises(FlavorError):
+                        other(a, cert)
+            done += 1
+    assert done == 802

@@ -256,6 +256,7 @@ def test_product_zero_entries_are_the_shared_zero():
     a = QMatrix([[quat(1, 2), Q_ZERO], [Q_ZERO, quat(0, 0, 3)]])
     prod = a * QMatrix([[quat(0, 0, 0, 0), quat(1)], [quat(1), Q_ZERO]])
     assert prod.entry(0, 0) is Q_ZERO and prod.entry(1, 1) is Q_ZERO
+    assert (-a).entry(0, 1) is Q_ZERO and (-a).entry(0, 0) == -quat(1, 2)
     cancel = QMatrix([[Q_ONE, Q_ONE]]) * QMatrix([[Q_ONE], [-Q_ONE]])
     assert cancel.entry(0, 0) is Q_ZERO
     assert (CMatrix([[GR_ONE]]) * CMatrix([[GR_ZERO]])).entry(0, 0) is GR_ZERO
