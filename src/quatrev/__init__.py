@@ -35,8 +35,7 @@ from .scalar import (GaussianRational, Quaternion, Rational, class_rep,
                      class_rep_inverse, class_rep_neg_inverse, gr,
                      parse_complex, parse_rational, quat)
 from .matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
-                     is_skew_involution, phi_embed, place_blocks, qdet,
-                     toeplitz_build)
+                     is_skew_involution, phi_embed, place_blocks, qdet)
 from .partitions import (Partition, WeyrStructure, parse_partition,
                          weyr_structure_of)
 from .canonical import (JordanSpec, basic_weyr_matrix, jordan_block,

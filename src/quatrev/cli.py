@@ -17,7 +17,7 @@ import numpy as np
 
 from .canonical import JordanSpec, jordan_matrix
 from .classify import classify_psl
-from .decompose import factorize, verify_certificate
+from .decompose import _split, factorize, verify_certificate
 from .errors import (CertificateError, FlavorError, NotConstructible,
                      PairingError, QuatrevError, RankProfileError,
                      SingularError)
@@ -189,14 +189,14 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     if args.jordan is not None:
         spec = _parse_spec(args.jordan)
-        a = jordan_matrix(spec)
-        cert = assemble_reverser(spec, target=args.target, flavor=args.flavor)
+        factors = _split(jordan_matrix(spec), assemble_reverser(
+            spec, target=args.target, flavor=args.flavor))
     else:
         if args.matrix is None or args.cert is None:
             raise _CliParseError(
                 "decompose needs --jordan or both --matrix and --cert")
-        a, cert = _load_matrix_and_cert(args)
-    _emit(factorize(a, cert).to_json(), args.out)
+        factors = factorize(*_load_matrix_and_cert(args))
+    _emit(factors.to_json(), args.out)
     return EXIT_OK
 
 

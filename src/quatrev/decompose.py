@@ -66,6 +66,11 @@ def factorize(a: QMatrix, cert: Certificate) -> Factorization:
     """A = s1 s2 read off a certificate that passes ``verify_certificate``."""
     if not verify_certificate(a, cert).ok:
         raise CertificateError("certificate failed verification")
+    return _split(a, cert)
+
+
+def _split(a: QMatrix, cert: Certificate) -> Factorization:
+    """A = s1 s2 from a certificate already checked against A."""
     split = _SPLITS.get((cert.target, cert.flavor))
     if split is None:
         raise FlavorError(

@@ -13,20 +13,27 @@ computes it exactly by quaternion Gaussian elimination on A itself, as the
 product of the squared norms of the pivots (H. Aslaksen, "Quaternionic
 determinants", Math. Intelligencer 18 (1996)).
 
-Product and elimination work on integers: each row (and each right column
-of a product) is brought once to the lcm of its component denominators, an
-entry becomes an integer 4-tuple (complex (re, im, 0, 0); zeros skipped)
-and each nonzero output component is normalised by one Fraction, so the
-entries equal those of Fraction-by-Fraction arithmetic.  The product
-accumulates Hamilton products in plain ints, as FLINT's ``fmpq_mat_mul``
-does.  Elimination (``qdet`` forward, ``inverse`` Gauss-Jordan) is
-fraction-free, after Bareiss (Math. Comp. 22, 1968): a row becomes
-N(p)*row - (x*conj(p))*pivot row, divided by the gcd of its entries.  The
-real factors put on rows are kept as two ints; a real factor c on a row
-multiplies the Study determinant by c^2.
+Arithmetic works on integers: a product brings each row and each right
+column once to the lcm of its component denominators, elimination the whole
+matrix; an entry becomes an integer 4-tuple (complex (re, im, 0, 0); zeros
+skipped) and each nonzero output component is normalised by one Fraction,
+so the entries equal those of Fraction-by-Fraction arithmetic.  One routine,
+``_product``, accumulates Hamilton products in plain ints, as FLINT's
+``fmpq_mat_mul`` does.  Elimination (``qdet`` forward, ``inverse``
+Gauss-Jordan) is fraction-free, after Bareiss (Math. Comp. 22, 1968): a row
+becomes N(p)*row - (x*conj(p))*pivot row, divided by the gcd of its
+entries.  The real factors put on rows are kept as two ints; a real factor
+c on a row multiplies the Study determinant by c^2.
+
+The certificate identities stay in integers too: for Abar = alpha*A and
+Gbar = gamma*G, alpha, gamma > 0 the lcm of each one's denominators, A G A =
++-G, G^2 = +-I and qdet(G) = 1 (n x n) hold iff Abar Gbar Abar = +-alpha^2
+Gbar, Gbar^2 = +-gamma^2 I and qdet(Gbar) = gamma^(2n): each is its original
+multiplied through by the positive real alpha^2 gamma, gamma^2 or gamma^(2n).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -85,25 +92,59 @@ def _entry(build, s, den):
                  Fraction(s3, den) if s3 else _F_ZERO)
 
 
-def _eliminate(m, full):
-    """Fraction-free quaternion elimination on the integer rows of m.
+def _product(rows, cols):
+    """Rows times columns, all integer 4-tuples with None for zero."""
+    out = []
+    for row in rows:
+        live = [(j, p) for j, p in enumerate(row) if p is not None]
+        out_row = []
+        for col in cols:
+            s0 = s1 = s2 = s3 = 0
+            for j, (p0, p1, p2, p3) in live:
+                q = col[j]
+                if q is None:
+                    continue
+                q0, q1, q2, q3 = q
+                s0 += p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
+                s1 += p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
+                s2 += p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
+                s3 += p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
+            out_row.append((s0, s1, s2, s3) if s0 or s1 or s2 or s3
+                           else None)
+        out.append(out_row)
+    return out
 
-    Each row is scaled once to its common denominator (and, if ``full``,
-    extended by that denominator times its row of the identity).  In column
-    ``col`` the first nonzero entry p at or below row ``col`` is swapped up
-    as pivot; every row below it (every other row if ``full``) with entry x
-    there becomes N(p)*row - (x*conj(p))*pivot row, a left multiple that
-    clears x, divided by the gcd of its components.  Returns (rows, num,
-    den), num/den the product of every real factor put on a row, so the
-    Study determinant grew by (num/den)^2; rows is None if m is singular.
+
+def _scaled(m):
+    """(d, rows): d the lcm of every component denominator of m, and rows
+    the integer 4-tuples of d*m (None for zero)."""
+    d, ints = _integer_parts([x for row in m.entries for x in row],
+                             m._szero, m._parts)
+    return d, [ints[i:i + m.n_cols] for i in range(0, len(ints), m.n_cols)]
+
+
+def _squares_to(d, rows, sign):
+    """Whether (rows/d)^2 = sign*I, tested as rows*rows == sign*d^2*I."""
+    unit = (sign * d * d, 0, 0, 0)
+    return all(e == (unit if i == j else None) for i, row
+               in enumerate(_product(rows, [*zip(*rows)]))
+               for j, e in enumerate(row))
+
+
+def _eliminate(d, rows, full):
+    """Fraction-free quaternion elimination on the integer rows of d*M.
+
+    If ``full``, each row is extended by d times its row of the identity.
+    In column ``col`` the first nonzero entry p at or below row ``col`` is
+    swapped up as pivot; every row below it (every other row if ``full``)
+    with entry x there becomes N(p)*row - (x*conj(p))*pivot row, a left
+    multiple that clears x, divided by the gcd of its components.  Returns
+    (rows, num, den), num/den (d^n included) the product of every real factor
+    put on a row; rows is None if M is singular.
     """
-    n, num, den = m.n_rows, 1, 1
-    rows = []
-    for i, row in enumerate(m.entries):
-        d, ints = _integer_parts(row, m._szero, m._parts)
-        rows.append(ints + [(d, 0, 0, 0) if j == i else None
-                            for j in range(n)] if full else ints)
-        num *= d
+    n, num, den = len(rows), d ** len(rows), 1
+    rows = [row + [(d, 0, 0, 0) if j == i else None for j in range(n)]
+            if full else row for i, row in enumerate(rows)]
     for col in range(n):
         k = next((r for r in range(col, n) if rows[r][col]), None)
         if k is None:
@@ -137,6 +178,15 @@ def _eliminate(m, full):
             num *= norm
             den *= g
     return rows, num, den
+
+
+def _study_det(d, rows):
+    """Study determinant of M from the integer rows of d*M: one Fraction."""
+    rows, num, den = _eliminate(d, rows, full=False)
+    if rows is None:
+        return Fraction(0)
+    pivots = math.prod(_conj_norm(row[k])[1] for k, row in enumerate(rows))
+    return Fraction(pivots * den * den, num * num)
 
 
 class _Dense:
@@ -240,39 +290,24 @@ class _Dense:
         z, parts, build = self._szero, self._parts, self._build
         rows = [_integer_parts(row, z, parts) for row in self.entries]
         cols = [_integer_parts(col, z, parts) for col in zip(*other.entries)]
-        out = []
-        for row_den, row in rows:
-            live = [(j, p) for j, p in enumerate(row) if p is not None]
-            out_row = []
-            for col_den, col in cols:
-                s0 = s1 = s2 = s3 = 0
-                for j, (p0, p1, p2, p3) in live:
-                    q = col[j]
-                    if q is None:
-                        continue
-                    q0, q1, q2, q3 = q
-                    s0 += p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
-                    s1 += p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
-                    s2 += p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
-                    s3 += p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
-                out_row.append(_entry(build, (s0, s1, s2, s3),
-                                      row_den * col_den)
-                               if s0 or s1 or s2 or s3 else z)
-            out.append(out_row)
-        return type(self)(out)
+        prod = _product([row for _, row in rows], [col for _, col in cols])
+        return type(self)(
+            [[_entry(build, s, row_den * col_den) if s else z
+              for s, (col_den, _) in zip(out_row, cols)]
+             for out_row, (row_den, _) in zip(prod, rows)])
 
     def inverse(self):
         """Exact inverse by fraction-free Gauss-Jordan elimination.
 
-        Runs ``_eliminate`` on the integer rows of [D*A | D], D the diagonal
-        of row denominators.  The left half ends diagonal, p_r in row r, and
+        Runs ``_eliminate`` on the integer rows of [d*A | d*I], d the lcm of
+        A's denominators.  The left half ends diagonal, p_r in row r, and
         the right half R satisfies R*A = diag(p_r), so row r of the inverse
         is conj(p_r)*R_r / |p_r|^2: one Fraction per nonzero component.
         Raises ``SingularError`` exactly when A is singular.
         """
         if not self.is_square:
             raise ShapeError("only square matrices have inverses")
-        rows, _, _ = _eliminate(self, full=True)
+        rows, _, _ = _eliminate(*_scaled(self), full=True)
         if rows is None:
             raise SingularError("matrix is singular")
         z, build, n = self._szero, self._build, self.n_rows
@@ -358,15 +393,10 @@ class QMatrix(_Dense):
 
 def block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
     """Direct sum of square blocks."""
-    total = sum(b.n_rows for b in blocks)
-    placements = []
-    off = 0
-    for b in blocks:
-        if not b.is_square:
-            raise ShapeError("direct sum needs square blocks")
-        placements.append((off, off, b))
-        off += b.n_rows
-    return place_blocks(total, placements)
+    if not all(b.is_square for b in blocks):
+        raise ShapeError("direct sum needs square blocks")
+    offs = list(itertools.accumulate((b.n_rows for b in blocks), initial=0))
+    return place_blocks(offs[-1], [(o, o, b) for o, b in zip(offs, blocks)])
 
 
 def place_blocks(size: int,
@@ -382,16 +412,10 @@ def place_blocks(size: int,
 
 def phi_embed(a: QMatrix) -> CMatrix:
     """Complex embedding: A = A1 + A2 j maps to [[A1, A2], [-conj A2, conj A1]]."""
-    a1 = [[None] * a.n_cols for _ in range(a.n_rows)]
-    a2 = [[None] * a.n_cols for _ in range(a.n_rows)]
-    for i, row in enumerate(a.entries):
-        for j, x in enumerate(row):
-            z1, z2 = x.complex_parts()
-            a1[i][j] = z1
-            a2[i][j] = z2
-    top = [a1[i] + a2[i] for i in range(a.n_rows)]
-    bottom = [[-z.conjugate() for z in a2[i]]
-              + [z.conjugate() for z in a1[i]] for i in range(a.n_rows)]
+    parts = [[x.complex_parts() for x in row] for row in a.entries]
+    top = [[z1 for z1, _ in row] + [z2 for _, z2 in row] for row in parts]
+    bottom = [[-z2.conjugate() for _, z2 in row]
+              + [z1.conjugate() for z1, _ in row] for row in parts]
     return CMatrix(top + bottom)
 
 
@@ -402,32 +426,33 @@ def qdet(a: QMatrix) -> Fraction:
     adding left multiples of rows leave the Study determinant unchanged and
     a real factor c on a row multiplies it by c^2, so it is the product of
     |pivot|^2 over the triangular result divided by the square of every real
-    factor (row denominators, pivot norms, less row gcds): one Fraction.
+    factor (the denominator lcm, pivot norms, less row gcds): one Fraction.
     Always an exact nonnegative rational; zero exactly when A is singular.
     """
     if not a.is_square:
         raise ShapeError("determinant needs a square matrix")
-    rows, num, den = _eliminate(a, full=False)
-    if rows is None:
-        return Fraction(0)
-    pivots = math.prod(_conj_norm(row[k])[1] for k, row in enumerate(rows))
-    return Fraction(pivots * den * den, num * num)
+    return _study_det(*_scaled(a))
 
 
 def is_involution(g: QMatrix) -> bool:
-    return g.is_square and g * g == QMatrix.identity(g.n_rows)
+    return g.is_square and _squares_to(*_scaled(g), 1)
 
 
 def is_skew_involution(g: QMatrix) -> bool:
-    return g.is_square and g * g == -QMatrix.identity(g.n_rows)
+    return g.is_square and _squares_to(*_scaled(g), -1)
 
 
-def toeplitz_build(coeffs: Sequence[Quaternion]) -> QMatrix:
-    """Upper-triangular Toeplitz matrix from diagonal coefficients.
-
-    Entry (i, j) is coeffs[j - i] for j >= i; these are exactly the matrices
-    commuting with a single nilpotent Jordan block.
-    """
-    n = len(coeffs)
-    return QMatrix([[coeffs[j - i] if j >= i else Q_ZERO
-                     for j in range(n)] for i in range(n)])
+def conjugator_checks(g: QMatrix, a: QMatrix, residual_sign: int,
+                      square_sign: int) -> tuple[bool, bool, bool]:
+    """(A g A == residual_sign*g, g^2 == square_sign*I, qdet(g) == 1) for
+    square g and A of one size, each tested in integers as the module
+    docstring says; square_sign 0 skips the square test (True)."""
+    alpha, a_rows = _scaled(a)
+    gamma, g_rows = _scaled(g)
+    aga = _product(_product(a_rows, [*zip(*g_rows)]), [*zip(*a_rows)])
+    f = residual_sign * alpha * alpha
+    residual = all(e == (x and (f * x[0], f * x[1], f * x[2], f * x[3]))
+                   for out_row, g_row in zip(aga, g_rows)
+                   for e, x in zip(out_row, g_row))
+    square = not square_sign or _squares_to(gamma, g_rows, square_sign)
+    return residual, square, _study_det(gamma, g_rows) == 1

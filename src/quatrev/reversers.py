@@ -33,8 +33,8 @@ from .classify import (involution_pairing, inverse_pairing,
                        neg_inverse_pairing, odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
                      ShapeError, SpecError)
-from .matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
-                     is_skew_involution, place_blocks, qdet)
+from .matrix import (CMatrix, QMatrix, block_diagonal, conjugator_checks,
+                     place_blocks)
 from .scalar import (GR_I, GR_ONE, GR_ZERO, Q_ZERO, GaussianRational,
                      Quaternion, gr)
 
@@ -119,6 +119,10 @@ def check_certificate(g: QMatrix, a: QMatrix, target: str,
     ("neg-inverse"), which for invertible A says g A g^{-1} = +-A^{-1}
     without forming A^{-1}; for singular A it fails whenever det g = 1.
     The flavor check is g^2 = I or g^2 = -I, skipped only for "general".
+    All three run in integers (``conjugator_checks``): Abar Gbar Abar =
+    +-alpha^2 Gbar, Gbar^2 = +-gamma^2 I and qdet(Gbar) = gamma^(2n), for
+    Abar = alpha*A and Gbar = gamma*G with integer entries, are the identities
+    above times the positive reals alpha^2 gamma, gamma^2 and gamma^(2n).
     """
     if target not in TARGETS:
         raise DomainError(f"unknown target {target!r}")
@@ -126,15 +130,9 @@ def check_certificate(g: QMatrix, a: QMatrix, target: str,
         raise DomainError(f"unknown flavor {flavor!r}")
     if not (a.is_square and g.is_square and a.n_rows == g.n_rows):
         raise ShapeError("matrix and certificate sizes do not match")
-    residual_zero = a * g * a == (g if target == TARGET_INVERSE else -g)
-    if flavor == FLAVOR_INVOLUTION:
-        flavor_ok = is_involution(g)
-    elif flavor == FLAVOR_SKEW:
-        flavor_ok = is_skew_involution(g)
-    else:
-        flavor_ok = True
-    return VerifyReport(residual_zero=residual_zero,
-                        flavor_verified=flavor_ok, det_one=qdet(g) == 1)
+    square_sign = {FLAVOR_INVOLUTION: 1, FLAVOR_SKEW: -1}.get(flavor, 0)
+    return VerifyReport(*conjugator_checks(
+        g, a, 1 if target == TARGET_INVERSE else -1, square_sign))
 
 
 def certify(g: QMatrix, a: QMatrix, target: str, flavor: str) -> Certificate:

@@ -15,14 +15,15 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_RATIONAL_RE = _re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = _re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the wire form of a rational: "p/q" or "p" (integers only)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    m = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text.strip())
+    return Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
 
 
 def format_rational(x: Fraction) -> str:
@@ -183,14 +184,6 @@ class Quaternion:
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        # matrices here are mostly zeros and complex entries; skipping the
-        # dead products makes exact linear algebra several times faster
-        if c1 == 0 and d1 == 0:
-            if a1 == 0 and b1 == 0:
-                return Q_ZERO
-            if c2 == 0 and d2 == 0:
-                return Quaternion(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                                  _ZERO, _ZERO)
         return Quaternion(
             a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,

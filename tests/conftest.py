@@ -9,7 +9,9 @@ import pytest
 from quatrev.canonical import JordanSpec, jordan_block
 from quatrev.errors import NotSingleBlock, ShapeError, SingularError
 from quatrev.matrix import CMatrix, QMatrix, qdet
-from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, GaussianRational,
+from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,
+                               TARGET_INVERSE, VerifyReport)
+from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, Q_ZERO, GaussianRational,
                             Quaternion, gr)
 
 # eigenvalue pool used by the sweep: real reciprocal pairs, units, and a
@@ -60,15 +62,41 @@ def naive_mul(x, y):
     cols = y.transpose().entries
     out = []
     for row in x.entries:
+        live = [(j, a) for j, a in enumerate(row) if not a.is_zero]
         out_row = []
         for col in cols:
             acc = z
-            for a, b in zip(row, col):
-                if not (a.is_zero or b.is_zero):
-                    acc = acc + a * b
+            for j, a in live:
+                if not col[j].is_zero:
+                    acc = acc + a * col[j]
             out_row.append(acc)
         out.append(out_row)
     return type(x)(out)
+
+
+def naive_check(g: QMatrix, a: QMatrix, target: str,
+                flavor: str) -> VerifyReport:
+    """The three certificate checks on Fraction entries: A g A = +-g,
+    g^2 = +-I and qdet(g) = 1; independent oracle for ``check_certificate``."""
+    residual = naive_mul(naive_mul(a, g), a) == (
+        g if target == TARGET_INVERSE else -g)
+    square = naive_mul(g, g)
+    ident = QMatrix.identity(g.n_rows)
+    flavor_ok = {FLAVOR_INVOLUTION: square == ident,
+                 FLAVOR_SKEW: square == -ident}.get(flavor, True)
+    return VerifyReport(residual_zero=residual, flavor_verified=flavor_ok,
+                        det_one=naive_qdet(g) == 1)
+
+
+def toeplitz_build(coeffs) -> QMatrix:
+    """Upper-triangular Toeplitz matrix from diagonal coefficients.
+
+    Entry (i, j) is coeffs[j - i] for j >= i; these are exactly the matrices
+    commuting with a single nilpotent Jordan block.
+    """
+    n = len(coeffs)
+    return QMatrix([[coeffs[j - i] if j >= i else Q_ZERO
+                     for j in range(n)] for i in range(n)])
 
 
 def naive_inverse(x):

@@ -6,7 +6,8 @@ zero tolerance) except the timed numeric round trip at the end.
 """
 import time
 
-from conftest import EIG_POOL, rand_gr, rand_invertible, rand_qmatrix, rng_for
+from conftest import (EIG_POOL, rand_gr, rand_invertible, rand_qmatrix,
+                      rng_for, toeplitz_build)
 from quatrev.canonical import (JordanSpec, basic_weyr_matrix, jordan_block,
                                jordan_matrix, jordan_weyr_permutation,
                                weyr_centralizer_sample)
@@ -15,7 +16,7 @@ from quatrev.classify import (classify_psl, is_neg_reversible, is_reversible,
 from quatrev.decompose import (product_involution_skew,
                                product_two_involutions,
                                product_two_skew_involutions)
-from quatrev.matrix import CMatrix, QMatrix, qdet, toeplitz_build
+from quatrev.matrix import CMatrix, QMatrix, qdet
 from quatrev.numeric import jordan_spec_numeric, qmatrix_to_float
 from quatrev.partitions import Partition, weyr_structure_of
 from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,

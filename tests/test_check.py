@@ -1,0 +1,163 @@
+"""The certificate check against its Fraction-domain oracle ``naive_check``."""
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import naive_check, sweep_blocks
+from quatrev.canonical import JordanSpec, jordan_matrix
+from quatrev.errors import NotConstructible
+from quatrev.matrix import QMatrix
+from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, FLAVORS,
+                               TARGET_INVERSE, TARGET_NEG_INVERSE, TARGETS,
+                               assemble_reverser, check_certificate)
+from quatrev.scalar import Q_ZERO, Quaternion
+
+REQUESTS = [(t, f) for t in TARGETS for f in FLAVORS]
+KINDS = [(TARGET_INVERSE, FLAVOR_INVOLUTION), (TARGET_INVERSE, FLAVOR_SKEW),
+         (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION)]
+
+# denominators: small, and near 2^60 and 3^38 (both about 60 bits)
+DENOMS = {
+    "small": (1, 2, 3, 5, 6),
+    "2^60": (2**60 - 1, 2**60, 2**60 + 1, 2**60 + 3),
+    "3^38": (3**38 - 2, 3**38, 3**38 + 2),
+}
+
+# admitted certificates of total size n: one for each of 40 seeded sweep specs
+_BASES = {}
+
+
+def _bases(n):
+    if n not in _BASES:
+        found = []
+        specs = [b for b in sweep_blocks(max_total=n)
+                 if sum(s for _, s in b) == n]
+        for blocks in random.Random(n).sample(specs, min(40, len(specs))):
+            spec = JordanSpec.of(blocks)
+            for kind in KINDS:
+                try:
+                    found.append((jordan_matrix(spec),
+                                  assemble_reverser(spec, *kind).g))
+                    break
+                except NotConstructible:
+                    continue
+        _BASES[n] = found
+    return _BASES[n]
+
+
+def _scalar(rng, dens, nonzero=False):
+    while True:
+        x = Quaternion(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                         for _ in range(4)))
+        if not (nonzero and x.is_zero):
+            return x
+
+
+def _random(rng, n, dens, density):
+    return QMatrix([[_scalar(rng, dens) if rng.random() < density else Q_ZERO
+                     for _ in range(n)] for _ in range(n)])
+
+
+def _conjugator(rng, n, dens, steps):
+    """S and S^-1: a quaternion diagonal times ``steps`` transvections
+    I + x e_ij, each inverted exactly by I - x e_ij."""
+    diag = [_scalar(rng, dens, nonzero=True) for _ in range(n)]
+    s = QMatrix.diagonal(diag)
+    s_inv = QMatrix.diagonal([d.inverse() for d in diag])
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        x = _scalar(rng, dens)
+        rows = [[Q_ZERO] * n for _ in range(n)]
+        rows[i][j] = x
+        e = QMatrix(rows)
+        ident = QMatrix.identity(n)
+        s, s_inv = s * (ident + e), (ident - e) * s_inv
+    return s, s_inv
+
+
+def _tamper(rng, g, dens):
+    rows = [list(row) for row in g.entries]
+    i, j = rng.randrange(g.n_rows), rng.randrange(g.n_cols)
+    parts = [rows[i][j].a, rows[i][j].b, rows[i][j].c, rows[i][j].d]
+    parts[rng.randrange(4)] += Fraction(1, rng.choice(dens))
+    rows[i][j] = Quaternion(*parts)
+    return QMatrix(rows)
+
+
+def _singular(rng, a):
+    rows = [list(row) for row in a.entries]
+    i = rng.randrange(a.n_rows)
+    if a.n_rows > 1 and rng.random() < 0.5:
+        rows[i] = rows[(i + 1) % a.n_rows]
+    else:
+        rows[i] = [Q_ZERO] * a.n_cols
+    return QMatrix(rows)
+
+
+def pair_for(seed, n, denoms, case):
+    """An (A, g) pair of size n: a sweep certificate conjugated by a dense or
+    sparse S with the given denominators, then altered as ``case`` says."""
+    rng = random.Random(seed)
+    dens = DENOMS[denoms]
+    a, g = rng.choice(_bases(n))
+    s, s_inv = _conjugator(rng, n, dens, rng.choice([0, 1, n]))
+    a, g = s * a * s_inv, s * g * s_inv
+    if case == "tampered":
+        g = _tamper(rng, g, dens)
+    elif case == "scaled":
+        g = g * QMatrix.scalar(n, _scalar(rng, dens, nonzero=True))
+    elif case == "singular":
+        a = _singular(rng, a)
+    elif case == "random-g":
+        g = _random(rng, n, dens, rng.choice([0.0, 0.3, 1.0]))
+    elif case == "random-a":
+        a = _random(rng, n, dens, rng.choice([0.0, 0.3, 1.0]))
+    return a, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6),
+       st.sampled_from(sorted(DENOMS)),
+       st.sampled_from(["as-built", "tampered", "scaled", "singular",
+                        "random-g", "random-a"]))
+def test_check_matches_naive_check(seed, n, denoms, case):
+    a, g = pair_for(seed, n, denoms, case)
+    for target, flavor in REQUESTS:
+        assert (check_certificate(g, a, target, flavor)
+                == naive_check(g, a, target, flavor)), (target, flavor)
+
+
+def test_check_matches_naive_check_on_fixed_cases():
+    """Each case at each size once, so every run sees a passing check, a
+    tampered g and a singular A with 60-bit denominators."""
+    seen = set()
+    for n in range(1, 7):
+        for i, case in enumerate(["as-built", "tampered", "singular",
+                                  "scaled"]):
+            a, g = pair_for(n * 10 + i, n, ("2^60", "3^38")[n % 2], case)
+            for target, flavor in REQUESTS:
+                report = check_certificate(g, a, target, flavor)
+                assert report == naive_check(g, a, target, flavor)
+                seen.add((case, report.ok))
+    assert ("as-built", True) in seen and ("tampered", False) in seen
+
+
+def test_sweep_certificates_match_naive_check():
+    """Every admitted certificate of the total-size <= 5 sweep (802), under
+    the (target, flavor) of each of the three kinds, so both residual signs
+    and both squares are tested on passing and failing certificates."""
+    done = 0
+    for blocks in sweep_blocks(max_total=5):
+        spec = JordanSpec.of(blocks)
+        a = jordan_matrix(spec)
+        for kind in KINDS:
+            try:
+                g = assemble_reverser(spec, *kind).g
+            except NotConstructible:
+                continue
+            for target, flavor in KINDS:
+                assert (check_certificate(g, a, target, flavor)
+                        == naive_check(g, a, target, flavor))
+            done += 1
+    assert done == 802

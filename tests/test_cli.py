@@ -557,3 +557,26 @@ def test_cli_hostile_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
         assert len(err.strip().splitlines()) <= 1, (argv, err)
 
     check()
+
+
+def test_decompose_jordan_checks_its_certificate_once(monkeypatch):
+    """``assemble_reverser`` has checked g against J, so the split reuses
+    that check; only a given certificate is checked by ``factorize``."""
+    import quatrev.decompose
+    import quatrev.reversers
+    calls = []
+    check = quatrev.reversers.check_certificate
+
+    def counting(*args):
+        calls.append(args[2:])
+        return check(*args)
+
+    monkeypatch.setattr(quatrev.reversers, "check_certificate", counting)
+    monkeypatch.setattr(quatrev.decompose, "check_certificate", counting)
+    for argv in (["[(1,2),(-1,1)]", "--flavor", "involution"],
+                 ["[(2,1),(1/2,1)]", "--flavor", "skew-involution"],
+                 ["[(i,2)]", "--target", "neg-inverse"]):
+        calls.clear()
+        code, _, _ = run("decompose", "--jordan", *argv)
+        assert code == EXIT_OK
+        assert len(calls) == 1

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (cofactor_det, conjugacy_residual, det_bareiss,
                       naive_inverse, naive_mul, naive_qdet, rand_invertible,
-                      rand_qmatrix, rand_quat, rng_for, sweep_blocks)
+                      rand_qmatrix, rand_quat, rng_for, sweep_blocks,
+                      toeplitz_build)
 from quatrev.canonical import JordanSpec
 from quatrev.errors import NotConstructible, ShapeError, SingularError
 from quatrev.matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
                             is_skew_involution, phi_embed, place_blocks,
-                            qdet, toeplitz_build)
+                            qdet)
 from quatrev.reversers import assemble_reverser
 from quatrev.scalar import (GR_ONE, GR_ZERO, Q_I, Q_J, Q_ONE, Q_ZERO,
                             GaussianRational, Quaternion, gr, quat)

@@ -2,7 +2,8 @@
 import pytest
 
 from conftest import (conjugacy_residual, neg_i_closed_form, rng_for,
-                      rand_gr, single_block_conjugator, sub_block)
+                      rand_gr, single_block_conjugator, sub_block,
+                      toeplitz_build)
 from quatrev.canonical import (JordanSpec, jordan_block, jordan_matrix,
                                basic_weyr_matrix)
 from quatrev.classify import neg_inverse_pairing
@@ -413,7 +414,6 @@ def test_coset_elements_fail_involution_for_odd_multiplicity():
         a = jordan_block(alpha, n)
         base = assemble_reverser(JordanSpec.of([(alpha, n)]),
                                  flavor="skew-involution").g
-        from quatrev.matrix import toeplitz_build
         for _ in range(10):
             coeffs = [rand_gr(rng).to_quaternion() for _ in range(n)]
             while coeffs[0].is_zero:

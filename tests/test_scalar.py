@@ -1,4 +1,5 @@
 """Exact scalar layer: rationals, Gaussian rationals, quaternions."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,47 @@ def test_parse_rational_rejects_junk():
     for bad in ["", "1.5", "2/0", "2/-3", "+ 1", "a/b", "1/03"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+# the accepted set of ``parse_rational``: optional sign, digits, and an
+# optional "/" with a denominator whose first digit is an ASCII 1-9
+_LITERAL = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def _reference(text):
+    if not _LITERAL.match(text.strip()):
+        raise ValueError(text)
+    return Fraction(text.strip())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.from_regex(_LITERAL, fullmatch=True),
+    st.text(alphabet="0123456789\u0663\u0660+-/ \t\n_.e", max_size=14),
+    st.sampled_from(["1/0", "1/\u0663", "\u0663", " +7 ", "1" * 5000,
+                     "2/" + "3" * 5000, "-0", "007/10"])))
+def test_parse_rational_accepts_what_fraction_parses(text):
+    got = _outcome(parse_rational, text)
+    assert got == _outcome(_reference, text)
+    if got is not ValueError:
+        assert got == Fraction(text)
+
+
+def test_parse_rational_edge_literals():
+    for bad in ["1/0", "1/\u0663", "1" * 5000]:
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    with pytest.raises(ValueError):
+        Fraction("1" * 5000)
+    assert parse_rational("\u0663") == 3
+    assert parse_rational(" +7 ") == 7
 
 
 def test_parse_complex_forms():
