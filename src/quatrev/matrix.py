@@ -17,7 +17,10 @@ Arithmetic works on integers: a product brings each row and each right
 column once to the lcm of its component denominators, elimination the whole
 matrix; an entry becomes an integer 4-tuple (complex (re, im, 0, 0); zeros
 skipped) and each nonzero output component is normalised by one Fraction,
-so the entries equal those of Fraction-by-Fraction arithmetic.  One routine,
+so the entries equal those of Fraction-by-Fraction arithmetic.  A matrix
+keeps its whole-matrix integer form (``_scaled``) once made: matrices are
+immutable, so it depends only on the entries, and every product and
+elimination of a check is still recomputed from it.  One routine,
 ``_product``, accumulates Hamilton products in plain ints, as FLINT's
 ``fmpq_mat_mul`` does.  Elimination (``qdet`` forward, ``inverse``
 Gauss-Jordan) is fraction-free, after Bareiss (Math. Comp. 22, 1968): a row
@@ -117,10 +120,15 @@ def _product(rows, cols):
 
 def _scaled(m):
     """(d, rows): d the lcm of every component denominator of m, and rows
-    the integer 4-tuples of d*m (None for zero)."""
-    d, ints = _integer_parts([x for row in m.entries for x in row],
-                             m._szero, m._parts)
-    return d, [ints[i:i + m.n_cols] for i in range(0, len(ints), m.n_cols)]
+    the integer 4-tuples of d*m (None for zero), a tuple of tuples.  Stored
+    on m at first use; this is the only writer of that slot."""
+    if getattr(m, "_ints", None) is None:
+        d, ints = _integer_parts([x for row in m.entries for x in row],
+                                 m._szero, m._parts)
+        w = m.n_cols
+        object.__setattr__(m, "_ints", (d, tuple(
+            tuple(ints[i:i + w]) for i in range(0, len(ints), w))))
+    return m._ints
 
 
 def _squares_to(d, rows, sign):
@@ -140,10 +148,11 @@ def _eliminate(d, rows, full):
     with entry x there becomes N(p)*row - (x*conj(p))*pivot row, a left
     multiple that clears x, divided by the gcd of its components.  Returns
     (rows, num, den), num/den (d^n included) the product of every real factor
-    put on a row; rows is None if M is singular.
+    put on a row; rows is None if M is singular.  The given rows are only
+    read: every changed row is a new list.
     """
     n, num, den = len(rows), d ** len(rows), 1
-    rows = [row + [(d, 0, 0, 0) if j == i else None for j in range(n)]
+    rows = [[*row, *((d, 0, 0, 0) if j == i else None for j in range(n))]
             if full else row for i, row in enumerate(rows)]
     for col in range(n):
         k = next((r for r in range(col, n) if rows[r][col]), None)
@@ -193,7 +202,7 @@ class _Dense:
     """Shared implementation; subclasses pin the scalar zero/one and how an
     entry splits into, and is built from, four rational components."""
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+    __slots__ = ("n_rows", "n_cols", "entries", "_ints")
 
     _szero = None
     _sone = None

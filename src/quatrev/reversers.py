@@ -36,7 +36,7 @@ from .errors import (CertificateError, DomainError, NotConstructible,
 from .matrix import (CMatrix, QMatrix, block_diagonal, conjugator_checks,
                      place_blocks)
 from .scalar import (GR_I, GR_ONE, GR_ZERO, Q_ZERO, GaussianRational,
-                     Quaternion, gr)
+                     Quaternion)
 
 _F_ZERO = Fraction(0)
 
@@ -148,25 +148,46 @@ def certify(g: QMatrix, a: QMatrix, target: str, flavor: str) -> Certificate:
                        residual_zero=True, flavor_verified=True, det_one=True)
 
 
+def _inverse_powers(lam: GaussianRational, top: int):
+    """coef(c, t) = c * lam^(-t) for an int c and 0 <= t <= top, from one table
+    of integer powers: 1/lam = (a + b i)/q gives lam^(-t) = (a + b i)^t / q^t.
+    """
+    li = lam.inverse()
+    q = math.lcm(li.re.denominator, li.im.denominator)
+    a, b = int(li.re * q), int(li.im * q)
+    table = [(1, 0, 1)]
+    for _ in range(top):
+        re, im, den = table[-1]
+        table.append((re * a - im * b, re * b + im * a, den * q))
+
+    def coef(c, t):
+        re, im, den = table[t]
+        return GaussianRational(Fraction(c * re, den), Fraction(c * im, den))
+    return coef
+
+
 def block_reverser(lam: GaussianRational, n: int) -> CMatrix:
     """Upper-triangular intertwiner of J(1/lam, n) with J(lam, n)^{-1}.
 
     Bottom-right entry 1, last column otherwise zero, and each remaining
-    entry x[i][j] = -(1/lam) x[i+1][j] - (1/lam^2) x[i+1][j+1].  Its inverse
-    is the same construction at 1/lam.  Entries grow like lam^{-2n}, which
-    is why everything stays in exact arbitrary-precision rationals.
+    entry x[i][j] = -(1/lam) x[i+1][j] - (1/lam^2) x[i+1][j+1].  For
+    m = n-1-i, k = n-1-j that is x[i][j] = (-1)^m C(m-1, k-1) lam^-(m+k),
+    1 <= k <= m: a path from the corner takes m steps, k of them diagonal,
+    the first diagonal to leave the last column.  Its inverse is the same
+    construction at 1/lam.  Entries grow like lam^{-2n}, which is why
+    everything stays in exact arbitrary-precision rationals.
     """
     if n < 1:
         raise DomainError("size must be positive")
     if lam.is_zero:
         raise DomainError("eigenvalue must be nonzero")
-    li = lam.inverse()
-    li2 = li * li
+    coef = _inverse_powers(lam, 2 * n - 2)
     x = [[GR_ZERO] * n for _ in range(n)]
     x[n - 1][n - 1] = GR_ONE
-    for i in range(n - 2, -1, -1):
-        for j in range(i, n - 1):
-            x[i][j] = -(li * x[i + 1][j]) - li2 * x[i + 1][j + 1]
+    for m in range(1, n):
+        x[n - 1 - m][n - 1 - m:n - 1] = [
+            coef((-1) ** m * math.comb(m - 1, k - 1), m + k)
+            for k in range(m, 0, -1)]
     return CMatrix(x)
 
 
@@ -184,27 +205,17 @@ def weyr_reverser(alpha: GaussianRational, p) -> CMatrix:
         raise DomainError("eigenvalue must have unit modulus")
     sizes = p.conjugate().parts
     r = len(sizes)
-    abar = alpha.conjugate()
+    coef = _inverse_powers(alpha, 2 * r - 2)     # conj(alpha) = 1/alpha
     offs = offsets(sizes)
     n = sum(sizes)
     grid = [[GR_ZERO] * n for _ in range(n)]
-
-    def put_scaled_identity(bi, bj, coef):
-        # truncated identity: rows sizes[bi], cols sizes[bj], identity on top
-        for t in range(min(sizes[bi], sizes[bj])):
-            grid[offs[bi] + t][offs[bj] + t] = coef
-
     for i in range(1, r + 1):
-        sign = GR_ONE if (r - i) % 2 == 0 else -GR_ONE
-        put_scaled_identity(i - 1, i - 1, sign * abar.power(2 * (r - i)))
-        for j in range(i + 1, r + 1):
-            if j == r:
-                continue
-            c = math.comb(r - i - 1, j - i)
-            if c == 0:
-                continue
-            coef = sign * gr(c) * abar.power(2 * r - i - j)
-            put_scaled_identity(i - 1, j - 1, coef)
+        for j in range(i, max(i + 1, r)):   # block column r: corner only
+            x = coef((-1) ** (r - i) * math.comb(max(r - i - 1, 0), j - i),
+                     2 * r - i - j)
+            # truncated identity: rows sizes[i-1], cols sizes[j-1]
+            for t in range(min(sizes[i - 1], sizes[j - 1])):
+                grid[offs[i - 1] + t][offs[j - 1] + t] = x
     return CMatrix(grid)
 
 

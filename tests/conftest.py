@@ -88,6 +88,20 @@ def naive_check(g: QMatrix, a: QMatrix, target: str,
                         det_one=naive_qdet(g) == 1)
 
 
+def naive_block_reverser(lam: GaussianRational, n: int) -> CMatrix:
+    """Omega(lam) by its recurrence from the bottom row: corner 1, last
+    column otherwise zero, x[i][j] = -(1/lam) x[i+1][j] - (1/lam^2)
+    x[i+1][j+1]; independent oracle for ``block_reverser``."""
+    li = lam.inverse()
+    li2 = li * li
+    x = [[GR_ZERO] * n for _ in range(n)]
+    x[n - 1][n - 1] = GR_ONE
+    for i in range(n - 2, -1, -1):
+        for j in range(i, n - 1):
+            x[i][j] = -(li * x[i + 1][j]) - li2 * x[i + 1][j + 1]
+    return CMatrix(x)
+
+
 def toeplitz_build(coeffs) -> QMatrix:
     """Upper-triangular Toeplitz matrix from diagonal coefficients.
 

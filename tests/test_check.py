@@ -1,4 +1,5 @@
-"""The certificate check against its Fraction-domain oracle ``naive_check``."""
+"""The certificate check against its Fraction-domain oracle ``naive_check``,
+and the integer form each matrix stores for it."""
 import random
 from fractions import Fraction
 
@@ -6,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import naive_check, sweep_blocks
 from quatrev.canonical import JordanSpec, jordan_matrix
-from quatrev.errors import NotConstructible
-from quatrev.matrix import QMatrix
+from quatrev.errors import NotConstructible, SingularError
+from quatrev.matrix import (CMatrix, QMatrix, _scaled, is_involution,
+                            is_skew_involution, qdet)
 from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, FLAVORS,
                                TARGET_INVERSE, TARGET_NEG_INVERSE, TARGETS,
                                assemble_reverser, check_certificate)
-from quatrev.scalar import Q_ZERO, Quaternion
+from quatrev.scalar import Q_ZERO, GaussianRational, Quaternion
 
 REQUESTS = [(t, f) for t in TARGETS for f in FLAVORS]
 KINDS = [(TARGET_INVERSE, FLAVOR_INVOLUTION), (TARGET_INVERSE, FLAVOR_SKEW),
@@ -161,3 +163,65 @@ def test_sweep_certificates_match_naive_check():
                         == naive_check(g, a, target, flavor))
             done += 1
     assert done == 802
+
+
+def _inverse(m):
+    try:
+        return m.inverse()
+    except SingularError:
+        return SingularError
+
+
+# name -> op on (m, other): each reads m's stored integer form, the check
+# also other's
+_OPS = {
+    "qdet": lambda m, _: qdet(m),
+    "inverse": lambda m, _: _inverse(m),
+    "is_involution": lambda m, _: is_involution(m),
+    "is_skew_involution": lambda m, _: is_skew_involution(m),
+    "check": lambda m, other: [check_certificate(m, other, *request)
+                               for request in REQUESTS],
+}
+
+
+def _fresh(m):
+    return type(m)(m.entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6),
+       st.sampled_from(sorted(DENOMS)), st.sampled_from([0.3, 1.0]),
+       st.sampled_from([QMatrix, CMatrix]),
+       st.lists(st.tuples(st.sampled_from(sorted(_OPS)), st.integers(0, 1)),
+                min_size=1, max_size=8))
+def test_stored_integer_form_stays_correct(seed, n, denoms, density, cls,
+                                           ops):
+    """Any sequence of the operations that read the stored integer form
+    gives what each gives on a fresh matrix, and leaves the form equal to a
+    fresh scaling, rows as tuples."""
+    rng = random.Random(seed)
+    ms = [_random(rng, n, DENOMS[denoms], density) for _ in range(2)]
+    if cls is CMatrix:
+        ms = [CMatrix([[GaussianRational(x.a, x.b) for x in row]
+                       for row in m.entries]) for m in ms]
+    for name, i in ops:
+        m, other = ms[i], ms[1 - i]
+        assert _OPS[name](m, other) == _OPS[name](_fresh(m), _fresh(other))
+    for m in ms:
+        d, rows = _scaled(m)
+        assert (d, rows) == _scaled(_fresh(m))
+        assert isinstance(rows, tuple)
+        assert all(isinstance(row, tuple) for row in rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6),
+       st.sampled_from(sorted(DENOMS)))
+def test_tampered_copy_fails_after_original_passed(seed, n, denoms):
+    rng = random.Random(seed)
+    a, g = pair_for(seed, n, denoms, "as-built")
+    kind = next(k for k in KINDS if check_certificate(g, a, *k).ok)
+    for _ in range(3):
+        tampered = _tamper(rng, g, DENOMS[denoms])
+        assert not check_certificate(tampered, a, *kind).ok
+        assert check_certificate(g, a, *kind).ok

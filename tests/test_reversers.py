@@ -1,9 +1,12 @@
 """Reversing conjugators: single blocks, shapes, Weyr form, assembly."""
-import pytest
+from fractions import Fraction
 
-from conftest import (conjugacy_residual, neg_i_closed_form, rng_for,
-                      rand_gr, single_block_conjugator, sub_block,
-                      toeplitz_build)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (conjugacy_residual, naive_block_reverser,
+                      neg_i_closed_form, rng_for, rand_gr,
+                      single_block_conjugator, sub_block, toeplitz_build)
 from quatrev.canonical import (JordanSpec, jordan_block, jordan_matrix,
                                basic_weyr_matrix)
 from quatrev.classify import neg_inverse_pairing
@@ -18,7 +21,8 @@ from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,
                                block_reverser, certify, neg_reverser_i_matrix,
                                shape_matrix, shape_reverser,
                                check_certificate, weyr_reverser, _place)
-from quatrev.scalar import GR_I, Q_J, class_rep_neg_inverse, gr, quat
+from quatrev.scalar import (GR_I, Q_J, GaussianRational, class_rep_neg_inverse,
+                            gr, quat)
 
 
 def cm(rows):
@@ -41,6 +45,43 @@ def test_block_reverser_frozen_n3():
         [0, "-1/4", 0],
         [0, 0, 1],
     ])
+
+
+_BIG = 2**40
+_rational = st.builds(Fraction, st.integers(-_BIG, _BIG).filter(bool),
+                      st.integers(1, _BIG))
+
+
+def _unit(s, t, turn):
+    """(s^2 - t^2 + 2st i)/(s^2 + t^2), times i^turn: unit modulus."""
+    z = GaussianRational(Fraction(s * s - t * t, s * s + t * t),
+                         Fraction(2 * s * t, s * s + t * t))
+    for _ in range(turn):
+        z = z * GR_I
+    return z
+
+
+_eigenvalue = st.one_of(
+    _rational.map(gr),
+    _rational.map(lambda x: gr(0, x)),
+    st.builds(_unit, st.integers(1, 2**20), st.integers(0, 2**20),
+              st.integers(0, 3)),
+    st.builds(GaussianRational, _rational, _rational),
+    st.sampled_from([gr(1, 1), gr(-1, 1), gr("1/2", "-1/2")]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_eigenvalue, st.integers(1, 30))
+def test_block_reverser_matches_recurrence(lam, n):
+    assert block_reverser(lam, n) == naive_block_reverser(lam, n)
+
+
+def test_block_reverser_matches_recurrence_on_fixed_values():
+    for lam in (gr(1), gr(-1), gr(2), gr(-2), gr("1/2"), gr("-1/3"), gr(3),
+                GR_I, gr("3/5", "4/5"), gr("4/5", "3/5"), gr(1, 1),
+                gr("1/2", "-1/2")):
+        for n in range(1, 25):
+            assert block_reverser(lam, n) == naive_block_reverser(lam, n)
 
 
 def test_block_reverser_identities_random():
