@@ -9,12 +9,13 @@ level by level.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import SpecError
-from .matrix import QMatrix, block_diagonal, place_blocks
+from .matrix import QMatrix
 from .scalar import (GR_ZERO, Q_ONE, Q_ZERO, GaussianRational, class_rep,
                      gr, parse_complex)
 from .partitions import Partition, WeyrStructure
@@ -86,23 +87,37 @@ def offsets(sizes) -> list[int]:
     return list(accumulate(sizes, initial=0))[:-1]
 
 
+def _jordan(blocks) -> QMatrix:
+    """Direct sum of J(lam, size) over (lam, size) in order, built in its
+    integer form over d, the lcm of every lam's denominators."""
+    d = math.lcm(*(f.denominator for lam, _ in blocks
+                   for f in (lam.re, lam.im)))
+    n = sum(size for _, size in blocks)
+    rows = [[None] * n for _ in range(n)]
+    i = 0
+    for lam, size in blocks:
+        re, im = lam.re, lam.im
+        diag = ((re.numerator * (d // re.denominator),
+                 im.numerator * (d // im.denominator), 0, 0)
+                if re or im else None)
+        for t in range(size):
+            rows[i][i] = diag
+            if t + 1 < size:
+                rows[i][i + 1] = (d, 0, 0, 0)
+            i += 1
+    return QMatrix._of_ints(d, rows)
+
+
 def jordan_block(lam: GaussianRational, size: int) -> QMatrix:
     """Single upper Jordan block: lam on the diagonal, 1 above it."""
     if size < 1:
         raise SpecError("block size must be positive")
-    lam_q = lam.to_quaternion()
-    grid = [[Q_ZERO] * size for _ in range(size)]
-    for i in range(size):
-        grid[i][i] = lam_q
-        if i + 1 < size:
-            grid[i][i + 1] = Q_ONE
-    return QMatrix(grid)
+    return _jordan([(lam, size)])
 
 
 def jordan_matrix(spec: JordanSpec) -> QMatrix:
     """Direct sum of the spec's blocks in canonical order."""
-    return block_diagonal([jordan_block(lam, size)
-                           for lam, size in spec.blocks])
+    return _jordan(spec.blocks)
 
 
 def basic_weyr_matrix(lam: GaussianRational, w: WeyrStructure) -> QMatrix:

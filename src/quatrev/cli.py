@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", help="print the upper-triangular block "
                        "reverser for one eigenvalue")
     p.add_argument("--lambda", dest="lam", required=True,
-                   help='complex eigenvalue, e.g. "2,0" or "3/5+4/5i"')
+                   help='complex eigenvalue, e.g. "2,0", "3/5+4/5i" or -1/2')
     p.add_argument("--n", type=int, required=True)
     common(p)
     p.set_defaults(fn=cmd_omega)
@@ -306,8 +306,22 @@ def _one_line(text: str) -> str:
     return " ".join(text.splitlines())
 
 
+def _attach_lambda(argv):
+    """``--lambda V`` as ``--lambda=V`` when V starts with "-": argparse
+    reads such a V (-1/2, -i, -1/2+i) as an option unless it is a plain
+    negative number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--lambda" and arg.startswith("-"):
+            out[-1] = f"--lambda={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_lambda(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except tuple(t for types, _, _ in _FAILURES for t in types) as exc:

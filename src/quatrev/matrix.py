@@ -13,20 +13,24 @@ computes it exactly by quaternion Gaussian elimination on A itself, as the
 product of the squared norms of the pivots (H. Aslaksen, "Quaternionic
 determinants", Math. Intelligencer 18 (1996)).
 
-Arithmetic works on integers: a product brings each row and each right
-column once to the lcm of its component denominators, elimination the whole
-matrix; an entry becomes an integer 4-tuple (complex (re, im, 0, 0); zeros
-skipped) and each nonzero output component is normalised by one Fraction,
-so the entries equal those of Fraction-by-Fraction arithmetic.  A matrix
-keeps its whole-matrix integer form (``_scaled``) once made: matrices are
-immutable, so it depends only on the entries, and every product and
-elimination of a check is still recomputed from it.  One routine,
-``_product``, accumulates Hamilton products in plain ints, as FLINT's
-``fmpq_mat_mul`` does.  Elimination (``qdet`` forward, ``inverse``
-Gauss-Jordan) is fraction-free, after Bareiss (Math. Comp. 22, 1968): a row
-becomes N(p)*row - (x*conj(p))*pivot row, divided by the gcd of its
-entries.  The real factors put on rows are kept as two ints; a real factor
-c on a row multiplies the Study determinant by c^2.
+Arithmetic works on integers.  A matrix is held in one stored integer
+form ``(d, rows)`` (``_scaled``): d the lcm of every component denominator
+and rows the integer 4-tuples of d*M (complex (re, im, 0, 0); None for
+zero).  A matrix the package builds (a product, a negation, a placement of
+blocks, a Jordan matrix, a block reverser) is born in that form
+(``_Dense._of_ints``, reduced by gcd(d, every component) so that it equals
+the form of the same entries); its scalar entries are made when first read,
+one Fraction per nonzero component, and kept.  A matrix built from entries
+(``inverse``, ``from_json``, the public constructor) gets its form at first
+use.  Matrices are immutable, so the form depends only on the matrix, and
+equality and hashing compare it; every product and elimination of a check
+is still recomputed from it.  One routine, ``_product``, accumulates
+Hamilton products in plain ints, as FLINT's ``fmpq_mat_mul`` does.
+Elimination (``qdet`` forward, ``inverse`` Gauss-Jordan) is fraction-free,
+after Bareiss (Math. Comp. 22, 1968): a row becomes N(p)*row -
+(x*conj(p))*pivot row, divided by the gcd of its entries.  The real factors
+put on rows are kept as two ints; a real factor c on a row multiplies the
+Study determinant by c^2.
 
 The certificate identities stay in integers too: for Abar = alpha*A and
 Gbar = gamma*G, alpha, gamma > 0 the lcm of each one's denominators, A G A =
@@ -46,28 +50,6 @@ from .scalar import (GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, GaussianRational,
                      Quaternion)
 
 _F_ZERO = Fraction(0)
-
-
-def _integer_parts(entries, zero, parts):
-    """Scale a row or column to its common denominator, once.
-
-    Returns (den, ints): ``ints`` holds each entry's four components times
-    ``den`` as plain ints, or None for a zero entry.
-    """
-    split = [None if x is zero else parts(x) for x in entries]
-    den = math.lcm(*(f.denominator for c in split if c is not None
-                     for f in c))
-    ints = []
-    for comps in split:
-        if comps is None or not any(comps):
-            ints.append(None)
-            continue
-        a, b, c, d = comps
-        ints.append((a.numerator * (den // a.denominator),
-                     b.numerator * (den // b.denominator),
-                     c.numerator * (den // c.denominator),
-                     d.numerator * (den // d.denominator)))
-    return den, ints
 
 
 def _hmul(p, q):
@@ -120,14 +102,29 @@ def _product(rows, cols):
 
 def _scaled(m):
     """(d, rows): d the lcm of every component denominator of m, and rows
-    the integer 4-tuples of d*m (None for zero), a tuple of tuples.  Stored
-    on m at first use; this is the only writer of that slot."""
-    if getattr(m, "_ints", None) is None:
-        d, ints = _integer_parts([x for row in m.entries for x in row],
-                                 m._szero, m._parts)
-        w = m.n_cols
-        object.__setattr__(m, "_ints", (d, tuple(
-            tuple(ints[i:i + w]) for i in range(0, len(ints), w))))
+    the integer 4-tuples of d*m (None for zero), a tuple of tuples.  Born
+    with m (``_Dense._of_ints``) or made from its entries at first use and
+    stored; nothing else writes that slot."""
+    if m._ints is None:
+        z, parts = m._szero, m._parts
+        split = [[None if x is z else parts(x) for x in row]
+                 for row in m._entries]
+        d = math.lcm(*(f.denominator for row in split for c in row
+                       if c is not None for f in c))
+        rows = []
+        for row in split:
+            ints = []
+            for comps in row:
+                if comps is None or not any(comps):
+                    ints.append(None)
+                    continue
+                a, b, c, e = comps
+                ints.append((a.numerator * (d // a.denominator),
+                             b.numerator * (d // b.denominator),
+                             c.numerator * (d // c.denominator),
+                             e.numerator * (d // e.denominator)))
+            rows.append(tuple(ints))
+        object.__setattr__(m, "_ints", (d, tuple(rows)))
     return m._ints
 
 
@@ -202,7 +199,7 @@ class _Dense:
     """Shared implementation; subclasses pin the scalar zero/one and how an
     entry splits into, and is built from, four rational components."""
 
-    __slots__ = ("n_rows", "n_cols", "entries", "_ints")
+    __slots__ = ("n_rows", "n_cols", "_entries", "_ints")
 
     _szero = None
     _sone = None
@@ -214,9 +211,43 @@ class _Dense:
         width = len(entries[0])
         if any(len(row) != width for row in entries):
             raise ShapeError("ragged rows")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_ints", None)
         object.__setattr__(self, "n_rows", len(entries))
         object.__setattr__(self, "n_cols", width)
+
+    @classmethod
+    def _of_ints(cls, d, rows):
+        """The matrix rows/d, for an int d > 0 and rows of integer 4-tuples
+        (None for zero), born in its stored form: d and every component
+        divided by their gcd, rows made tuples.  No entry is made."""
+        if not rows or not rows[0]:
+            raise ShapeError("matrix must have at least one row and column")
+        g = (math.gcd(d, *(c for row in rows for e in row if e for c in e))
+             if d > 1 else 1)
+        if g > 1:
+            d //= g
+            rows = [[e and (e[0] // g, e[1] // g, e[2] // g, e[3] // g)
+                     for e in row] for row in rows]
+        m = object.__new__(cls)
+        object.__setattr__(m, "_entries", None)
+        object.__setattr__(m, "_ints", (d, tuple(map(tuple, rows))))
+        object.__setattr__(m, "n_rows", len(rows))
+        object.__setattr__(m, "n_cols", len(rows[0]))
+        return m
+
+    @property
+    def entries(self):
+        """The scalar entries, a tuple of tuples; for a matrix born in its
+        integer form, made at first read (one Fraction per nonzero
+        component, zeros the shared zero) and kept."""
+        if self._entries is None:
+            d, rows = self._ints
+            z, build = self._szero, self._build
+            object.__setattr__(self, "_entries", tuple(
+                tuple(_entry(build, s, d) if s else z for s in row)
+                for row in rows))
+        return self._entries
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -259,11 +290,10 @@ class _Dense:
         return type(self)([[fn(x) for x in row] for row in self.entries])
 
     def __eq__(self, other) -> bool:
-        return (type(self) is type(other)
-                and self.entries == other.entries)
+        return type(self) is type(other) and _scaled(self) == _scaled(other)
 
     def __hash__(self):
-        return hash((type(self).__name__, self.entries))
+        return hash((type(self).__name__, _scaled(self)))
 
     @property
     def is_zero(self) -> bool:
@@ -285,9 +315,9 @@ class _Dense:
              for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        # a zero stays the shared zero, which products skip by identity
-        z = self._szero
-        return self.map_entries(lambda x: z if x is z else -x)
+        d, rows = _scaled(self)
+        return self._of_ints(d, [[e and (-e[0], -e[1], -e[2], -e[3])
+                                  for e in row] for row in rows])
 
     def __mul__(self, other):
         if type(self) is not type(other):
@@ -296,14 +326,9 @@ class _Dense:
             raise ShapeError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} "
                 f"by {other.n_rows}x{other.n_cols}")
-        z, parts, build = self._szero, self._parts, self._build
-        rows = [_integer_parts(row, z, parts) for row in self.entries]
-        cols = [_integer_parts(col, z, parts) for col in zip(*other.entries)]
-        prod = _product([row for _, row in rows], [col for _, col in cols])
-        return type(self)(
-            [[_entry(build, s, row_den * col_den) if s else z
-              for s, (col_den, _) in zip(out_row, cols)]
-             for out_row, (row_den, _) in zip(prod, rows)])
+        alpha, a_rows = _scaled(self)
+        beta, b_rows = _scaled(other)
+        return self._of_ints(alpha * beta, _product(a_rows, [*zip(*b_rows)]))
 
     def inverse(self):
         """Exact inverse by fraction-free Gauss-Jordan elimination.
@@ -358,8 +383,7 @@ class CMatrix(_Dense):
         return self.map_entries(lambda x: x.conjugate())
 
     def to_quaternion(self) -> "QMatrix":
-        return QMatrix([[x.to_quaternion() for x in row]
-                        for row in self.entries])
+        return QMatrix._of_ints(*_scaled(self))
 
 
 class QMatrix(_Dense):
@@ -374,8 +398,13 @@ class QMatrix(_Dense):
         return (x.a, x.b, x.c, x.d)
 
     def to_cmatrix(self) -> CMatrix:
-        return CMatrix([[x.to_gaussian() for x in row]
-                        for row in self.entries])
+        d, rows = _scaled(self)
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if e and (e[2] or e[3]):
+                    raise ValueError(
+                        f"{self.entries[i][j]} has nonzero j or k part")
+        return CMatrix._of_ints(d, rows)
 
     def to_json(self) -> dict:
         return {"n": self.n_rows, "m": self.n_cols,
@@ -410,13 +439,18 @@ def block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
 
 def place_blocks(size: int,
                  placements: Iterable[tuple[int, int, QMatrix]]) -> QMatrix:
-    """Write blocks into an otherwise zero size x size matrix."""
-    grid = [[Q_ZERO] * size for _ in range(size)]
-    for ri, ci, block in placements:
-        for i, row in enumerate(block.entries):
-            for j, x in enumerate(row):
-                grid[ri + i][ci + j] = x
-    return QMatrix(grid)
+    """Write blocks into an otherwise zero size x size matrix, each block's
+    integer form brought to the lcm of theirs."""
+    placements = [(ri, ci, *_scaled(block)) for ri, ci, block in placements]
+    d = math.lcm(*(den for _, _, den, _ in placements))
+    grid = [[None] * size for _ in range(size)]
+    for ri, ci, den, rows in placements:
+        f = d // den
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                grid[ri + i][ci + j] = e and (f * e[0], f * e[1], f * e[2],
+                                              f * e[3])
+    return QMatrix._of_ints(d, grid)
 
 
 def phi_embed(a: QMatrix) -> CMatrix:

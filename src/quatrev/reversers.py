@@ -1,10 +1,11 @@
 """Explicit conjugators carrying an element to its inverse or negated inverse.
 
-The basic building block is Omega(lam), an upper-triangular matrix built by
-a second-order recurrence from the bottom row; it intertwines J(1/lam, n)
-with J(lam, n)^{-1} and its inverse is the same matrix at 1/lam.  Every
-conjugator is a direct sum over single blocks and inverse-partner pairs of
-blocks, read from one table keyed by (target, flavor):
+The basic building block is Omega(lam), an upper-triangular matrix defined
+by a second-order recurrence from the bottom row and written from its closed
+form in integers; it intertwines J(1/lam, n) with J(lam, n)^{-1} and its
+inverse is the same matrix at 1/lam.  Every conjugator is a direct sum over
+single blocks and inverse-partner pairs of blocks, read from one table keyed
+by (target, flavor):
 
     target       block                       B           partner block
     inverse      pair, partner 1/lam1        Omega       +-Omega(1/lam1)
@@ -26,19 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .canonical import JordanSpec, jordan_block, jordan_matrix, offsets
 from .classify import (involution_pairing, inverse_pairing,
                        neg_inverse_pairing, odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
                      ShapeError, SpecError)
-from .matrix import (CMatrix, QMatrix, block_diagonal, conjugator_checks,
-                     place_blocks)
-from .scalar import (GR_I, GR_ONE, GR_ZERO, Q_ZERO, GaussianRational,
-                     Quaternion)
-
-_F_ZERO = Fraction(0)
+from .matrix import (CMatrix, QMatrix, _scaled, block_diagonal,
+                     conjugator_checks, place_blocks)
+from .scalar import GR_I, GaussianRational
 
 TARGET_INVERSE = "inverse"
 TARGET_NEG_INVERSE = "neg-inverse"
@@ -149,21 +146,24 @@ def certify(g: QMatrix, a: QMatrix, target: str, flavor: str) -> Certificate:
 
 
 def _inverse_powers(lam: GaussianRational, top: int):
-    """coef(c, t) = c * lam^(-t) for an int c and 0 <= t <= top, from one table
-    of integer powers: 1/lam = (a + b i)/q gives lam^(-t) = (a + b i)^t / q^t.
+    """(den, power): lam^(-t) = (x + y i)/den for (x, y) = power[t] and
+    0 <= t <= top, all ints over one den = q^top, from one table of integer
+    powers: 1/lam = (a + b i)/q gives lam^(-t) = (a + b i)^t q^(top-t) / den.
     """
-    li = lam.inverse()
-    q = math.lcm(li.re.denominator, li.im.denominator)
-    a, b = int(li.re * q), int(li.im * q)
-    table = [(1, 0, 1)]
+    re, im = lam.re, lam.im
+    d = math.lcm(re.denominator, im.denominator)
+    x = re.numerator * (d // re.denominator)
+    y = im.numerator * (d // im.denominator)
+    # 1/lam = d (x - y i) / (x^2 + y^2), reduced to lowest terms over q
+    norm = x * x + y * y
+    g = math.gcd(norm, d * x, d * y)
+    a, b, q = d * x // g, -d * y // g, norm // g
+    power = [(1, 0)]
     for _ in range(top):
-        re, im, den = table[-1]
-        table.append((re * a - im * b, re * b + im * a, den * q))
-
-    def coef(c, t):
-        re, im, den = table[t]
-        return GaussianRational(Fraction(c * re, den), Fraction(c * im, den))
-    return coef
+        u, v = power[-1]
+        power.append((u * a - v * b, u * b + v * a))
+    return q ** top, [(u * q ** (top - t), v * q ** (top - t))
+                      for t, (u, v) in enumerate(power)]
 
 
 def block_reverser(lam: GaussianRational, n: int) -> CMatrix:
@@ -175,20 +175,22 @@ def block_reverser(lam: GaussianRational, n: int) -> CMatrix:
     1 <= k <= m: a path from the corner takes m steps, k of them diagonal,
     the first diagonal to leave the last column.  Its inverse is the same
     construction at 1/lam.  Entries grow like lam^{-2n}, which is why
-    everything stays in exact arbitrary-precision rationals.
+    everything stays in exact arbitrary-precision integers over one
+    denominator, written straight from the power table.
     """
     if n < 1:
         raise DomainError("size must be positive")
     if lam.is_zero:
         raise DomainError("eigenvalue must be nonzero")
-    coef = _inverse_powers(lam, 2 * n - 2)
-    x = [[GR_ZERO] * n for _ in range(n)]
-    x[n - 1][n - 1] = GR_ONE
+    den, power = _inverse_powers(lam, 2 * n - 2)
+    rows = [[None] * n for _ in range(n)]
+    rows[n - 1][n - 1] = (den, 0, 0, 0)
     for m in range(1, n):
-        x[n - 1 - m][n - 1 - m:n - 1] = [
-            coef((-1) ** m * math.comb(m - 1, k - 1), m + k)
-            for k in range(m, 0, -1)]
-    return CMatrix(x)
+        for k in range(1, m + 1):
+            c = (-1) ** m * math.comb(m - 1, k - 1)
+            x, y = power[m + k]
+            rows[n - 1 - m][n - 1 - k] = (c * x, c * y, 0, 0)
+    return CMatrix._of_ints(den, rows)
 
 
 def weyr_reverser(alpha: GaussianRational, p) -> CMatrix:
@@ -205,18 +207,18 @@ def weyr_reverser(alpha: GaussianRational, p) -> CMatrix:
         raise DomainError("eigenvalue must have unit modulus")
     sizes = p.conjugate().parts
     r = len(sizes)
-    coef = _inverse_powers(alpha, 2 * r - 2)     # conj(alpha) = 1/alpha
+    den, power = _inverse_powers(alpha, 2 * r - 2)  # conj(alpha) = 1/alpha
     offs = offsets(sizes)
     n = sum(sizes)
-    grid = [[GR_ZERO] * n for _ in range(n)]
+    rows = [[None] * n for _ in range(n)]
     for i in range(1, r + 1):
         for j in range(i, max(i + 1, r)):   # block column r: corner only
-            x = coef((-1) ** (r - i) * math.comb(max(r - i - 1, 0), j - i),
-                     2 * r - i - j)
+            c = (-1) ** (r - i) * math.comb(max(r - i - 1, 0), j - i)
+            x, y = power[2 * r - i - j]
             # truncated identity: rows sizes[i-1], cols sizes[j-1]
             for t in range(min(sizes[i - 1], sizes[j - 1])):
-                grid[offs[i - 1] + t][offs[j - 1] + t] = x
-    return CMatrix(grid)
+                rows[offs[i - 1] + t][offs[j - 1] + t] = (c * x, c * y, 0, 0)
+    return CMatrix._of_ints(den, rows)
 
 
 class ReversibleShape(Enum):
@@ -281,27 +283,24 @@ def _modified(m: CMatrix, mod: str, left: bool = False,
     D = diag((-1)^(s-1-k)) is its own inverse: it flips every other column
     (right) or row (left), counted from the last.  j^{-1} = -j, and M j and
     -j M act on each entry alone: z j = (0, 0, re z, im z) and
-    -j z = (0, 0, -re z, im z).
+    -j z = (0, 0, -re z, im z).  Works on M's integer form, entry by entry.
     """
+    d, rows = _scaled(m)
     last = m.n_rows - 1
-    rows = []
-    for r, row in enumerate(m.entries):
-        out = []
+    out = []
+    for r, row in enumerate(rows):
+        out_row = []
         for c, z in enumerate(row):
-            if z.is_zero:
-                out.append(Q_ZERO)
+            if z is None:
+                out_row.append(None)
                 continue
-            flip = sign < 0
-            if mod == _D and (last - (r if left else c)) % 2:
-                flip = not flip
-            re, im = (-z.re, -z.im) if flip else (z.re, z.im)
-            if mod == _J:
-                out.append(Quaternion(_F_ZERO, _F_ZERO,
-                                      -re if left else re, im))
-            else:
-                out.append(Quaternion(re, im, _F_ZERO, _F_ZERO))
-        rows.append(out)
-    return QMatrix(rows)
+            re, im = z[0], z[1]
+            if (sign < 0) != (mod == _D and (last - (r if left else c)) % 2):
+                re, im = -re, -im
+            out_row.append((0, 0, -re if left else re, im) if mod == _J
+                           else (re, im, 0, 0))
+        out.append(out_row)
+    return QMatrix._of_ints(d, out)
 
 
 def _place(a: QMatrix, target: str, flavor: str, blocks) -> Certificate:

@@ -3,7 +3,7 @@ and the integer form each matrix stores for it."""
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import naive_check, sweep_blocks
 from quatrev.canonical import JordanSpec, jordan_matrix
@@ -217,11 +217,18 @@ def test_stored_integer_form_stays_correct(seed, n, denoms, density, cls,
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 6),
        st.sampled_from(sorted(DENOMS)))
+# the third tamper puts 1/(2^60 - 1) into a zero entry of g = diag(-1, 1, 1,
+# 1) and the result is still a valid involution certificate
+@example(seed=387, n=4, denoms="2^60")
 def test_tampered_copy_fails_after_original_passed(seed, n, denoms):
+    """A tampered copy of a passing g checks as the Fraction oracle does
+    (a tamper can land on another valid certificate), and checking it does
+    not change the original's result."""
     rng = random.Random(seed)
     a, g = pair_for(seed, n, denoms, "as-built")
     kind = next(k for k in KINDS if check_certificate(g, a, *k).ok)
     for _ in range(3):
         tampered = _tamper(rng, g, DENOMS[denoms])
-        assert not check_certificate(tampered, a, *kind).ok
+        assert (check_certificate(tampered, a, *kind)
+                == naive_check(tampered, a, *kind))
         assert check_certificate(g, a, *kind).ok

@@ -197,6 +197,15 @@ def test_omega_comma_scalar_form():
     assert json.loads(out)["entries"][0][0] == ["1", "0", "0", "0"]
 
 
+def test_omega_negative_lambda_spaced_or_attached():
+    # argparse took every one of these but "-2" for an option
+    for literal in ("-1/2", "-i", "-1/2+i", "-3/5,4/5", "-2"):
+        spaced = run("omega", "--lambda", literal, "--n", "3")
+        attached = run("omega", f"--lambda={literal}", "--n", "3")
+        assert spaced == attached, literal
+        assert spaced[0] == EXIT_OK and spaced[2] == "", literal
+
+
 def test_omega_rejects_zero():
     code, _, _ = run("omega", "--lambda", "0", "--n", "2")
     assert code == EXIT_PARSE
