@@ -48,7 +48,7 @@ def _read_text(arg: str) -> str:
     try:
         with open(arg, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _CliParseError(f"cannot read {arg}: {exc}") from exc
 
 
@@ -114,7 +114,7 @@ def _emit(obj, out_path):
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _CliParseError(f"cannot write {out_path}: {exc}") from exc
 
 

@@ -20,9 +20,11 @@ zero).  A matrix the package builds (a product, a negation, a placement of
 blocks, a Jordan matrix, a block reverser) is born in that form
 (``_Dense._of_ints``, reduced by gcd(d, every component) so that it equals
 the form of the same entries); its scalar entries are made when first read,
-one Fraction per nonzero component, and kept.  A matrix built from entries
-(``inverse``, ``from_json``, the public constructor) gets its form at first
-use.  Matrices are immutable, so the form depends only on the matrix, and
+one Fraction per nonzero component, and kept.  So is a decoded matrix:
+``from_json`` reads each literal as the integers (p, q) it spells, unreduced
+("2/4" stays (2, 4); the gcd reduction makes the form the same).  A matrix
+built from entries (``inverse``, the public constructor) gets its form at
+first use.  Matrices are immutable, so the form depends only on the matrix, and
 equality and hashing compare it; every product and elimination of a check
 is still recomputed from it.  One routine, ``_product``, accumulates
 Hamilton products in plain ints, as FLINT's ``fmpq_mat_mul`` does.
@@ -47,7 +49,7 @@ from typing import Iterable, Sequence
 
 from .errors import ShapeError, SingularError
 from .scalar import (GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, GaussianRational,
-                     Quaternion)
+                     Quaternion, quaternion_ints)
 
 _F_ZERO = Fraction(0)
 
@@ -423,10 +425,26 @@ class QMatrix(_Dense):
         if not all(isinstance(obj[k], int) and not isinstance(obj[k], bool)
                    for k in ("n", "m")):
             raise ValueError("matrix dimensions must be integers")
-        mat = cls([[Quaternion.from_json(x) for x in row] for row in entries])
+        parsed = [[quaternion_ints(x) for x in row] for row in entries]
+        if not parsed or not parsed[0]:
+            raise ShapeError("matrix must have at least one row and column")
+        if any(len(row) != len(parsed[0]) for row in parsed):
+            raise ShapeError("ragged rows")
+        d = math.lcm(*{q for row in parsed for e in row for p, q in e if p})
+        mat = cls._of_ints(d, [tuple(_over(e, d) for e in row)
+                               for row in parsed])
         if (mat.n_rows, mat.n_cols) != (obj["n"], obj["m"]):
             raise ValueError("matrix dimensions disagree with entries")
         return mat
+
+
+def _over(comps, d):
+    """The integer 4-tuple of d times the quaternion of four (p, q) pairs,
+    each q dividing d or p = 0; None for zero."""
+    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = comps
+    if p0 or p1 or p2 or p3:
+        return p0 * (d // q0), p1 * (d // q1), p2 * (d // q2), p3 * (d // q3)
+    return None
 
 
 def block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:

@@ -8,6 +8,16 @@ structure of each class is read off rank profiles of powers, and the class
 representatives are snapped to exact rationals when close enough to a
 candidate or to a small-denominator fraction.  Classification of a spec
 containing unsnapped values is advisory only.
+
+``jordan_spec_numeric`` computes each float quantity once per call: the
+embedding Phi(A) and its eigenvalues, the singular values of Phi(A) (the
+singularity test; the largest is the 2-norm every class compares against),
+the gaps between neighbours of the sorted spectrum (a clustering radius
+cuts at the gaps beyond it), the mean of each distinct cluster, and the
+complex value of each candidate.  Nothing is kept between calls.  A class
+never snaps to 0: the matrix passed the singularity test, so 0 is not an
+eigenvalue, and a class whose rational approximation is 0 as well is a
+``SingularError``.
 """
 from __future__ import annotations
 
@@ -81,41 +91,11 @@ def phi_embed_float(f: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _folded_eigenvalues(f: np.ndarray) -> np.ndarray:
-    """Embedding spectrum folded onto im >= 0, sorted by (re, im)."""
-    vals = np.linalg.eigvals(phi_embed_float(f))
+def _folded_eigenvalues(z: np.ndarray) -> np.ndarray:
+    """Spectrum of the embedding z folded onto im >= 0, sorted by (re, im)."""
+    vals = np.linalg.eigvals(z)
     folded = np.where(vals.imag < 0, np.conj(vals), vals)
     return folded[np.lexsort((folded.imag, folded.real))]
-
-
-def _cluster_at(folded: np.ndarray, radius: float) -> list[list[complex]]:
-    clusters: list[list[complex]] = []
-    for v in folded:
-        if clusters and abs(v - clusters[-1][-1]) <= radius:
-            clusters[-1].append(complex(v))
-        else:
-            clusters.append([complex(v)])
-    return clusters
-
-
-def _classes_at(clusters: list[list[complex]],
-                radius: float) -> Optional[list[tuple[complex, int]]]:
-    """Cluster list to (representative, multiplicity) pairs, or None.
-
-    Every cluster must have even size (the embedding repeats each class
-    twice, as a conjugate pair or a doubled real value); a cluster whose
-    mean sits within the clustering radius of the real axis is a real
-    class, so its im is dropped.
-    """
-    out = []
-    for group in clusters:
-        if len(group) % 2 != 0:
-            return None
-        rep = complex(np.mean(group))
-        if abs(rep.imag) <= radius:
-            rep = complex(rep.real, 0.0)
-        out.append((rep, len(group) // 2))
-    return out
 
 
 def _radius_ladder(folded: np.ndarray, cfg: NumericConfig) -> list[float]:
@@ -149,12 +129,34 @@ def _persistent_classes(folded: np.ndarray, cfg: NumericConfig
     floats scattered by a Jordan block merges over a tiny range of radii
     but the merged form survives until the radius reaches the distance to
     the next true class, so the long-lived reading is the structural one.
+
+    At a radius, neighbours of the sorted spectrum join a cluster when the
+    gap between them is at most the radius, so the clusters are the runs
+    between the gaps beyond it.  Every cluster must have even size (the
+    embedding repeats each class twice, as a conjugate pair or a doubled
+    real value); a cluster whose mean sits within the radius of the real
+    axis is a real class, so its im is dropped.  The gaps are taken once
+    and each run's mean once per call.
     """
+    gaps = [abs(v - complex(prev)) for prev, v in zip(folded, folded[1:])]
+    means: dict[tuple[int, int], complex] = {}
     runs: list[dict] = []
     for radius in _radius_ladder(folded, cfg):
-        classes = _classes_at(_cluster_at(folded, radius), radius)
-        if classes is None:
+        # "not gap <= radius" cuts at a NaN gap too
+        ends = [k + 1 for k, gap in enumerate(gaps) if not gap <= radius]
+        ends.append(len(folded))
+        spans = [(start, end) for start, end in zip([0, *ends], ends)
+                 if start < end]
+        if any((end - start) % 2 for start, end in spans):
             continue
+        classes = []
+        for span in spans:
+            if span not in means:
+                means[span] = complex(np.mean(folded[span[0]:span[1]]))
+            rep = means[span]
+            if abs(rep.imag) <= radius:
+                rep = complex(rep.real, 0.0)
+            classes.append((rep, (span[1] - span[0]) // 2))
         signature = tuple(classes)
         if runs and runs[-1]["signature"] == signature:
             runs[-1]["octaves"] += 1
@@ -179,7 +181,8 @@ def phi_eigenvalues(f: np.ndarray,
     ladder that starts at eig_cluster_tol.  No even-parity clustering below
     the cap means the pairing failed.
     """
-    candidates = _persistent_classes(_folded_eigenvalues(f), cfg)
+    candidates = _persistent_classes(
+        _folded_eigenvalues(phi_embed_float(f)), cfg)
     if not candidates:
         raise PairingError(_NO_PAIRING)
     return candidates[0]
@@ -194,11 +197,17 @@ def weyr_structure_numeric(f: np.ndarray, lam: complex,
     lam is real because the embedding doubles real classes.
     """
     z = phi_embed_float(f)
+    return _weyr_structure(z, np.linalg.norm(z, 2), lam, cfg)
+
+
+def _weyr_structure(z: np.ndarray, z_norm: float, lam: complex,
+                    cfg: NumericConfig) -> WeyrStructure:
+    """``weyr_structure_numeric`` on the embedding z and its 2-norm."""
     two_n = z.shape[0]
     m = z - lam * np.eye(two_n)
-    scale = np.linalg.norm(m, 2)
+    scale = np.linalg.svd(m, compute_uv=False)[0]  # the 2-norm of m
     is_real = lam.imag == 0
-    if scale <= cfg.rank_tol * max(1.0, np.linalg.norm(z, 2)):
+    if scale <= cfg.rank_tol * max(1.0, z_norm):
         # the shift annihilates the whole matrix: scalar class
         sizes = [two_n]
     else:
@@ -266,23 +275,31 @@ class SnapReport:
                 "approximate": not self.all_snapped}
 
 
-def _snap_value(z: complex, candidates: Sequence[GaussianRational],
+def _snap_value(z: complex,
+                candidates: Sequence[tuple[GaussianRational, complex]],
                 tol: float) -> Optional[GaussianRational]:
-    for cand in candidates:
-        if abs(z - cand.to_complex()) <= tol:
+    """The first candidate within tol of z (each given with its complex
+    value; none is 0), else the small-denominator fraction within tol unless
+    it is 0, else None.  Never 0: the matrix passed the singularity test, so
+    0 is not an eigenvalue."""
+    for cand, value in candidates:
+        if abs(z - value) <= tol:
             return cand
     re = Fraction(z.real).limit_denominator(64)
     im = Fraction(z.imag).limit_denominator(64)
     if im < 0:
         im = -im
     guess = GaussianRational(re, im)
-    if abs(z - guess.to_complex()) <= tol:
+    if not guess.is_zero and abs(z - guess.to_complex()) <= tol:
         return guess
     return None
 
 
 def _approximate_rational(x: float) -> Fraction:
     return Fraction(x).limit_denominator(10 ** 12)
+
+
+_ROUNDS_TO_ZERO = "class {:.6g} has no nonzero rational approximation"
 
 
 def jordan_spec_numeric(f: np.ndarray,
@@ -293,16 +310,20 @@ def jordan_spec_numeric(f: np.ndarray,
 
     Unsnapped classes enter the spec as high-precision rational
     approximations and are flagged in the report; exact statements should
-    only be trusted when the report says every class snapped.
+    only be trusted when the report says every class snapped.  Raises
+    ``SingularError`` (the matrix, or a class that rounds to 0),
+    ``PairingError`` or ``RankProfileError``.
     """
     z = phi_embed_float(f)
     svals = np.linalg.svd(z, compute_uv=False)
     if svals[0] == 0 or svals[-1] <= cfg.rank_tol * svals[0]:
         raise SingularError("matrix is singular at the working tolerance")
+    # svals[0] is the 2-norm of z, as np.linalg.norm(z, 2) computes it
+    values = [(c, c.to_complex()) for c in candidates if not c.is_zero]
     last_err: Optional[RankProfileError] = None
-    for classes in _persistent_classes(_folded_eigenvalues(f), cfg):
+    for classes in _persistent_classes(_folded_eigenvalues(z), cfg):
         try:
-            return _spec_from_classes(f, classes, cfg, candidates)
+            return _spec_from_classes(z, svals[0], classes, cfg, values)
         except RankProfileError as err:
             # inconsistent with the rank profiles: try the next reading
             last_err = err
@@ -311,14 +332,15 @@ def jordan_spec_numeric(f: np.ndarray,
     raise PairingError(_NO_PAIRING)
 
 
-def _spec_from_classes(f: np.ndarray, classes: list[tuple[complex, int]],
+def _spec_from_classes(z: np.ndarray, z_norm: float,
+                       classes: list[tuple[complex, int]],
                        cfg: NumericConfig,
-                       candidates: Sequence[GaussianRational],
+                       candidates: Sequence[tuple[GaussianRational, complex]],
                        ) -> tuple[JordanSpec, SnapReport]:
     blocks = []
     snaps = []
     for rep, mult in classes:
-        w = weyr_structure_numeric(f, rep, cfg)
+        w = _weyr_structure(z, z_norm, rep, cfg)
         if w.total != mult:
             raise RankProfileError(
                 f"class {rep:.6g}: rank profile totals {w.total} but the "
@@ -330,6 +352,8 @@ def _spec_from_classes(f: np.ndarray, classes: list[tuple[complex, int]],
         eig = snapped if snapped is not None else GaussianRational(
             _approximate_rational(rep.real),
             _approximate_rational(abs(rep.imag)))
+        if eig.is_zero:
+            raise SingularError(_ROUNDS_TO_ZERO.format(rep))
         blocks.extend((eig, s) for s in sizes)
     return JordanSpec.of(blocks), SnapReport(tuple(snaps))
 

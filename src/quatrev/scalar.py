@@ -18,12 +18,27 @@ Rational = Fraction
 _RATIONAL_RE = _re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the wire form of a rational: "p/q" or "p" (integers only)."""
+def rational_ints(text: str) -> tuple[int, int]:
+    """The integers (p, q), q > 0, of the wire form "p/q" or "p" (q = 1),
+    as written: not reduced."""
     m = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
+    p, q = m.groups()
+    return int(p), int(q) if q else 1
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the wire form of a rational: "p/q" or "p" (integers only)."""
+    return Fraction(*rational_ints(text))
+
+
+def quaternion_ints(obj) -> tuple[tuple[int, int], ...]:
+    """The four (p, q) pairs of a quaternion's wire form, a list of four
+    rational literals, each as ``rational_ints`` reads it."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 4:
+        raise ValueError(f"not a quaternion array: {obj!r}")
+    return tuple(map(rational_ints, obj))
 
 
 def format_rational(x: Fraction) -> str:
@@ -229,9 +244,7 @@ class Quaternion:
 
     @classmethod
     def from_json(cls, obj) -> "Quaternion":
-        if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-            raise ValueError(f"not a quaternion array: {obj!r}")
-        return cls(*(parse_rational(v) for v in obj))
+        return cls(*(Fraction(p, q) for p, q in quaternion_ints(obj)))
 
     def __str__(self) -> str:
         if self.is_zero:

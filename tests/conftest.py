@@ -4,21 +4,31 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quatrev.canonical import JordanSpec, jordan_block
-from quatrev.errors import NotSingleBlock, ShapeError, SingularError
+from quatrev.canonical import JordanSpec, jordan_block, jordan_matrix
+from quatrev.errors import (NotSingleBlock, PairingError, RankProfileError,
+                            ShapeError, SingularError)
 from quatrev.matrix import CMatrix, QMatrix, qdet
+from quatrev.numeric import (_NO_PAIRING, _ROUNDS_TO_ZERO, ClassSnap,
+                             NumericConfig, SnapReport, _radius_ladder,
+                             phi_embed_float, qmatrix_to_float,
+                             weyr_structure_numeric)
 from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,
                                TARGET_INVERSE, VerifyReport)
 from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, Q_ZERO, GaussianRational,
-                            Quaternion, gr)
+                            Quaternion, class_rep_inverse, gr)
 
 # eigenvalue pool used by the sweep: real reciprocal pairs, units, and a
 # non-unit complex value whose inverse-class partner is in the pool too
 EIG_POOL = (gr(1), gr(-1), gr(2), gr("1/2"), gr(-2), gr("-1/2"),
             gr(0, 1), gr("3/5", "4/5"), gr(1, 1))
 SWEEP_MAX_TOTAL = 6
+# the pool with (1+i)/2, the inverse-class partner of 1+i, for spec recovery
+RECOVERY_POOL = EIG_POOL + (gr("1/2", "1/2"),)
+RECOVERY_CONFIGS = (NumericConfig(), NumericConfig(eig_cluster_tol=0),
+                    NumericConfig(unit_tol=0))
 
 
 def rng_for(name: str) -> random.Random:
@@ -294,3 +304,127 @@ def sweep_blocks(max_total=SWEEP_MAX_TOTAL, pool=EIG_POOL):
 @pytest.fixture(scope="session")
 def sweep_specs():
     return [JordanSpec.of(blocks) for blocks in sweep_blocks()]
+
+
+def recovery_corpus(count):
+    """count (spec, float matrix) pairs: S^-1 A S in floats for a Jordan
+    matrix A of total size 2-6 with blocks of size at most 3 from
+    ``RECOVERY_POOL`` (a non-unit block half the time with its inverse-class
+    partner) and a random S of small-integer quaternions."""
+    rng = rng_for("recovery")
+    out = []
+    for _ in range(count):
+        left, blocks = rng.randint(2, 6), []
+        while left:
+            lam, size = rng.choice(RECOVERY_POOL), rng.randint(1, min(3, left))
+            blocks.append((lam, size))
+            left -= size
+            if lam.norm_sq() != 1 and size <= left and rng.random() < 0.5:
+                blocks.append((class_rep_inverse(lam), size))
+                left -= size
+        spec = JordanSpec.of(blocks)
+        s = rand_invertible(rng, spec.total_size)
+        out.append((spec, qmatrix_to_float(
+            s.inverse() * jordan_matrix(spec) * s)))
+    return out
+
+
+def _naive_clusters(folded, radius):
+    clusters = []
+    for v in folded:
+        if clusters and abs(v - clusters[-1][-1]) <= radius:
+            clusters[-1].append(complex(v))
+        else:
+            clusters.append([complex(v)])
+    return clusters
+
+
+def _naive_classes(clusters, radius):
+    out = []
+    for group in clusters:
+        if len(group) % 2 != 0:
+            return None
+        rep = complex(np.mean(group))
+        if abs(rep.imag) <= radius:
+            rep = complex(rep.real, 0.0)
+        out.append((rep, len(group) // 2))
+    return out
+
+
+def naive_persistent_classes(f, cfg):
+    """Candidate class lists of the float matrix f, most persistent first:
+    the whole spectrum re-clustered, chain by chain, at every radius of the
+    ladder; independent oracle for ``numeric._persistent_classes``."""
+    vals = np.linalg.eigvals(phi_embed_float(f))
+    folded = np.where(vals.imag < 0, np.conj(vals), vals)
+    folded = folded[np.lexsort((folded.imag, folded.real))]
+    runs = []
+    for radius in _radius_ladder(folded, cfg):
+        classes = _naive_classes(_naive_clusters(folded, radius), radius)
+        if classes is None:
+            continue
+        signature = tuple(classes)
+        if runs and runs[-1]["signature"] == signature:
+            runs[-1]["octaves"] += 1
+        else:
+            runs.append({"signature": signature, "octaves": 1,
+                         "classes": classes})
+    runs.sort(key=lambda r: (-r["octaves"], len(r["classes"])))
+    return [r["classes"] for r in runs]
+
+
+def naive_phi_eigenvalues(f, cfg):
+    """Oracle for ``phi_eigenvalues``."""
+    candidates = naive_persistent_classes(f, cfg)
+    if not candidates:
+        raise PairingError(_NO_PAIRING)
+    return candidates[0]
+
+
+def _naive_snap(z, candidates, tol):
+    for cand in candidates:
+        if not cand.is_zero and abs(z - cand.to_complex()) <= tol:
+            return cand
+    re = Fraction(z.real).limit_denominator(64)
+    im = abs(Fraction(z.imag).limit_denominator(64))
+    guess = GaussianRational(re, im)
+    if not guess.is_zero and abs(z - guess.to_complex()) <= tol:
+        return guess
+    return None
+
+
+def naive_jordan_spec_numeric(f, cfg, candidates=()):
+    """Spec recovery with every float quantity recomputed where it is used:
+    the embedding and its 2-norm per class (``weyr_structure_numeric``), the
+    clustering per radius and each candidate's complex value per class;
+    independent oracle for ``jordan_spec_numeric``."""
+    z = phi_embed_float(f)
+    svals = np.linalg.svd(z, compute_uv=False)
+    if svals[0] == 0 or svals[-1] <= cfg.rank_tol * svals[0]:
+        raise SingularError("matrix is singular at the working tolerance")
+    last_err = None
+    for classes in naive_persistent_classes(f, cfg):
+        try:
+            blocks, snaps = [], []
+            for rep, mult in classes:
+                w = weyr_structure_numeric(f, rep, cfg)
+                if w.total != mult:
+                    raise RankProfileError(
+                        f"class {rep:.6g}: rank profile totals {w.total} but "
+                        f"the spectrum gives multiplicity {mult}")
+                sizes = w.to_partition().conjugate().parts
+                snapped = _naive_snap(rep, candidates, cfg.unit_tol)
+                snaps.append(ClassSnap(value=rep, snapped=snapped,
+                                       multiplicity=mult, jordan_sizes=sizes))
+                eig = snapped if snapped is not None else GaussianRational(
+                    Fraction(rep.real).limit_denominator(10 ** 12),
+                    Fraction(abs(rep.imag)).limit_denominator(10 ** 12))
+                if eig.is_zero:
+                    raise SingularError(_ROUNDS_TO_ZERO.format(rep))
+                blocks.extend((eig, s) for s in sizes)
+            return JordanSpec.of(blocks), SnapReport(tuple(snaps))
+        except RankProfileError as err:
+            last_err = err
+    if last_err is not None:
+        raise last_err
+    raise PairingError(_NO_PAIRING)

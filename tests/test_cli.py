@@ -288,6 +288,30 @@ def test_classify_singular_float_exit(tmp_path):
     assert "numeric" in err
 
 
+def test_classify_tiny_eigenvalue_never_snaps_to_zero():
+    # the class sits within unit_tol of 0 but the matrix is invertible: it
+    # stays unsnapped, or is a singular recovery if it rounds to 0 as well
+    tiny = '{"n":1,"entries":[[[3e-9,0,0,0]]]}'
+    code, out, _ = run("classify", "--matrix", tiny)
+    assert code == EXIT_OK
+    assert json.loads(out)["spec"]["blocks"][0]["re"] == "3/1000000000"
+    for extra in ((), ("--unit-tol", "0")):
+        code, out, err = run("classify", "--matrix",
+                             tiny.replace("3e-9", "1e-300"), *extra)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == ("numeric recovery failed: class 1e-300+0j has no "
+                       "nonzero rational approximation\n")
+
+
+def test_nul_byte_in_a_path_is_a_parse_error():
+    for argv in (("weyr", "--partition", "3,2,2", "--out", "\x00"),
+                 ("verify", "--matrix", "a\x00b", "--cert", "x")):
+        code, out, err = run(*argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        _one_line_error(err)
+        assert "embedded null byte" in err
+
+
 def test_inline_json_matrix_input():
     m = jordan_matrix(JordanSpec.of([(gr(0, 1), 1)]))
     f_json = json.dumps(float_matrix_to_json(qmatrix_to_float(m)))

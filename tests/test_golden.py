@@ -5,7 +5,10 @@ Each entry of ``golden/cases.json`` names an argv (``{inputs}`` expands to
 stdout.  The inputs are certificates of three specs, one per (target,
 flavor) kind, as ``certify`` writes them, the same pairs conjugated to
 dense S^{-1} A S, S^{-1} g S by a fixed random S with j and k parts, a
-skew certificate relabelled "general" and one with a tampered entry.
+skew certificate relabelled "general" and one with a tampered entry, and
+float matrices for ``classify --matrix`` (dense conjugates that snap with a
+size-2 block, fail on the 1+i, (1+i)/2 pair with exit 3, or keep unsnapped
+classes, and 1x1 inputs whose class lies within unit_tol of 0).
 After a deliberate output change, re-record with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
 """

@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
-from conftest import EIG_POOL, rand_invertible, rng_for
+from conftest import (EIG_POOL, RECOVERY_CONFIGS, RECOVERY_POOL,
+                      naive_jordan_spec_numeric, naive_phi_eigenvalues,
+                      rand_invertible, recovery_corpus, rng_for)
 from quatrev.canonical import JordanSpec, jordan_matrix
-from quatrev.errors import PairingError, RankProfileError, SingularError
+from quatrev.errors import (PairingError, QuatrevError, RankProfileError,
+                            SingularError)
 from quatrev.numeric import (NumericConfig, classify_numeric,
                              float_matrix_from_json, float_matrix_to_json,
                              jordan_spec_numeric, phi_eigenvalues,
@@ -151,3 +154,60 @@ def test_recovery_is_deterministic():
     b = jordan_spec_numeric(f, candidates=EIG_POOL)
     assert a[0] == b[0]
     assert a[1].to_json() == b[1].to_json()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return recovery_corpus(200)
+
+
+def _outcome(fn, *args):
+    """fn's result, specs and reports as JSON, or its error's type and
+    message."""
+    try:
+        out = fn(*args)
+    except QuatrevError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        return out[0].to_json(), out[1].to_json()
+    return out
+
+
+def test_recovery_matches_naive_oracle(corpus):
+    # with and without candidates, at the default tolerances, with no
+    # starting cluster radius and with no snapping tolerance
+    runs = [(cfg, RECOVERY_POOL) for cfg in RECOVERY_CONFIGS]
+    runs.append((NumericConfig(), ()))
+    for _, f in corpus:
+        for cfg, candidates in runs:
+            assert (_outcome(jordan_spec_numeric, f, cfg, candidates)
+                    == _outcome(naive_jordan_spec_numeric, f, cfg,
+                                candidates))
+        for cfg in RECOVERY_CONFIGS:
+            assert (_outcome(phi_eigenvalues, f, cfg)
+                    == _outcome(naive_phi_eigenvalues, f, cfg))
+
+
+def test_singularity_svd_gives_the_two_norm(corpus):
+    # jordan_spec_numeric takes the embedding's 2-norm from the largest
+    # singular value of its singularity test
+    for _, f in corpus:
+        z = phi_embed_float(f)
+        assert np.linalg.norm(z, 2) == np.linalg.svd(z, compute_uv=False)[0]
+
+
+def test_a_class_never_snaps_to_zero():
+    # the guess 0 lies within unit_tol, and 1e-300 also rounds to 0
+    tiny = np.zeros((1, 1, 4))
+    tiny[0, 0, 0] = 3e-9
+    spec, snap = jordan_spec_numeric(tiny)
+    assert spec == JordanSpec.of([(gr("3/1000000000"), 1)])
+    assert not snap.all_snapped
+    tiny[0, 0, 0] = 1e-300
+    for cfg in (NumericConfig(), NumericConfig(unit_tol=0)):
+        with pytest.raises(SingularError, match="class 1e-300"):
+            jordan_spec_numeric(tiny, cfg)
+    # a zero candidate is never taken either
+    tiny[0, 0, 0] = 3e-9
+    spec, _ = jordan_spec_numeric(tiny, candidates=(gr(0),))
+    assert spec == JordanSpec.of([(gr("3/1000000000"), 1)])
