@@ -26,8 +26,16 @@ one Fraction per nonzero component, and kept.  So is a decoded matrix:
 built from entries (``inverse``, the public constructor) gets its form at
 first use.  Matrices are immutable, so the form depends only on the matrix, and
 equality and hashing compare it; every product and elimination of a check
-is still recomputed from it.  One routine, ``_product``, accumulates
-Hamilton products in plain ints, as FLINT's ``fmpq_mat_mul`` does.
+is still recomputed from it.  One routine, ``_product``, multiplies two
+forms in plain ints, as FLINT's ``fmpq_mat_mul`` does.  It first reads each
+operand's half: a quaternion matrix is Z + W j with Z, W complex (F. Zhang,
+Linear Algebra Appl. 251, 1997); Jordan matrices, Omega(lam) and Omega D
+have W = 0 (they lie in C), Omega j has Z = 0 (it lies in Cj), and a
+product of two such matrices lies in one half again.  When each operand
+lies in one half, every entry pair is one product of Gaussian integers,
+4 multiplications; any other pair (a dense third-party matrix, entries
+mixed between the halves) runs the 16-multiplication Hamilton loop,
+``_hamilton``.
 Elimination (``qdet`` forward, ``inverse`` Gauss-Jordan) is fraction-free,
 after Bareiss (Math. Comp. 22, 1968): a row becomes N(p)*row -
 (x*conj(p))*pivot row, divided by the gcd of its entries.  The real factors
@@ -39,11 +47,15 @@ Gbar = gamma*G, alpha, gamma > 0 the lcm of each one's denominators, A G A =
 +-G, G^2 = +-I and qdet(G) = 1 (n x n) hold iff Abar Gbar Abar = +-alpha^2
 Gbar, Gbar^2 = +-gamma^2 I and qdet(Gbar) = gamma^(2n): each is its original
 multiplied through by the positive real alpha^2 gamma, gamma^2 or gamma^(2n).
+The residual is formed as A (G A) for the inverse and (A G) A for the
+negated inverse, so its first product is G A or A G, a factor of the
+split ``decompose.factorize`` returns.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -52,6 +64,7 @@ from .scalar import (GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, GaussianRational,
                      Quaternion, quaternion_ints)
 
 _F_ZERO = Fraction(0)
+_RE, _IM, _J, _K = map(operator.itemgetter, range(4))
 
 
 def _hmul(p, q):
@@ -79,8 +92,60 @@ def _entry(build, s, den):
                  Fraction(s3, den) if s3 else _F_ZERO)
 
 
-def _product(rows, cols):
-    """Rows times columns, all integer 4-tuples with None for zero."""
+def _half(rows):
+    """0 if every nonzero entry of rows lies in C, (x, y, 0, 0) = x + yi;
+    else 2 if every one lies in Cj, (0, 0, x, y) = (x + yi)j; else None.
+    Rows with no nonzero entry give 0."""
+    live = [*filter(None, itertools.chain.from_iterable(rows))]
+    if not any(map(_J, live)) and not any(map(_K, live)):
+        return 0
+    if not any(map(_RE, live)) and not any(map(_IM, live)):
+        return 2
+    return None
+
+
+def _product(a_rows, b_rows, halves=None):
+    """A times B from their integer rows, 4-tuples with None for zero;
+    ``halves`` gives the ``_half`` of A and of B if the caller has them.
+
+    If all of A's nonzero entries lie in one complex half, C or Cj, and all
+    of B's do too, each entry pair is one Gaussian-integer product, read off
+    (z1 + w1 j)(z2 + w2 j) = (z1 z2 - w1 conj(w2)) + (z1 w2 + w1 conj(z2)) j:
+    B's half is conjugated when A is Cj, negated when both are Cj, and the
+    sum lands in Cj when the halves differ.  Row i of the product is then
+    the sum of a_ij times row j of B over the nonzero a_ij and b_jk alone,
+    its rows tuples.  Any other pair runs ``_hamilton``.
+    """
+    left, right = halves or (_half(a_rows), _half(b_rows))
+    if left is None or right is None:
+        return _hamilton(a_rows, [*zip(*b_rows)])
+    sign = -1 if left and right else 1
+    flip = -sign if left else sign
+    b_live = [[(k, sign * e[right], flip * e[right + 1])
+               for k, e in enumerate(row) if e] for row in b_rows]
+    width = len(b_rows[0])
+    re, im = [0] * (width * len(a_rows)), [0] * (width * len(a_rows))
+    base = 0    # row i of the product sums into re and im from base = i*width
+    for row in a_rows:
+        for j, e in enumerate(row):
+            if e is None:
+                continue
+            x, y = e[left], e[left + 1]
+            for k, u, v in b_live[j]:
+                k += base
+                re[k] += x * u - y * v
+                im[k] += x * v + y * u
+        base += width
+    if left != right:
+        flat = [(0, 0, s, t) if s or t else None for s, t in zip(re, im)]
+    else:
+        flat = [(s, t, 0, 0) if s or t else None for s, t in zip(re, im)]
+    return [*zip(*[iter(flat)] * width)]
+
+
+def _hamilton(rows, cols):
+    """Rows times columns, all integer 4-tuples with None for zero: all 16
+    multiplications of every Hamilton product."""
     out = []
     for row in rows:
         live = [(j, p) for j, p in enumerate(row) if p is not None]
@@ -130,11 +195,11 @@ def _scaled(m):
     return m._ints
 
 
-def _squares_to(d, rows, sign):
+def _squares_to(d, rows, sign, halves=None):
     """Whether (rows/d)^2 = sign*I, tested as rows*rows == sign*d^2*I."""
     unit = (sign * d * d, 0, 0, 0)
     return all(e == (unit if i == j else None) for i, row
-               in enumerate(_product(rows, [*zip(*rows)]))
+               in enumerate(_product(rows, rows, halves))
                for j, e in enumerate(row))
 
 
@@ -330,7 +395,7 @@ class _Dense:
                 f"by {other.n_rows}x{other.n_cols}")
         alpha, a_rows = _scaled(self)
         beta, b_rows = _scaled(other)
-        return self._of_ints(alpha * beta, _product(a_rows, [*zip(*b_rows)]))
+        return self._of_ints(alpha * beta, _product(a_rows, b_rows))
 
     def inverse(self):
         """Exact inverse by fraction-free Gauss-Jordan elimination.
@@ -508,12 +573,31 @@ def conjugator_checks(g: QMatrix, a: QMatrix, residual_sign: int,
     """(A g A == residual_sign*g, g^2 == square_sign*I, qdet(g) == 1) for
     square g and A of one size, each tested in integers as the module
     docstring says; square_sign 0 skips the square test (True)."""
+    return _conjugator_checks(g, a, residual_sign, square_sign)[0]
+
+
+def _conjugator_checks(g, a, residual_sign, square_sign):
+    """``conjugator_checks`` and the integer form (d, rows) of the first
+    product of the residual: g A for residual_sign 1, tested as A (g A), and
+    A g for -1, tested as (A g) A."""
+    if not (a.is_square and g.is_square and a.n_rows == g.n_rows):
+        raise ShapeError("matrix and certificate sizes do not match")
     alpha, a_rows = _scaled(a)
     gamma, g_rows = _scaled(g)
-    aga = _product(_product(a_rows, [*zip(*g_rows)]), [*zip(*a_rows)])
+    ha, hg = _half(a_rows), _half(g_rows)
+    # a product of halves h1 and h2 lies in h1 ^ h2: C C, Cj Cj in C
+    hf = None if ha is None or hg is None else ha ^ hg
+    if residual_sign > 0:
+        first = _product(g_rows, a_rows, (hg, ha))
+        aga = _product(a_rows, first, (ha, hf))
+    else:
+        first = _product(a_rows, g_rows, (ha, hg))
+        aga = _product(first, a_rows, (hf, ha))
     f = residual_sign * alpha * alpha
     residual = all(e == (x and (f * x[0], f * x[1], f * x[2], f * x[3]))
                    for out_row, g_row in zip(aga, g_rows)
                    for e, x in zip(out_row, g_row))
-    square = not square_sign or _squares_to(gamma, g_rows, square_sign)
-    return residual, square, _study_det(gamma, g_rows) == 1
+    square = not square_sign or _squares_to(gamma, g_rows, square_sign,
+                                            (hg, hg))
+    return ((residual, square, _study_det(gamma, g_rows) == 1),
+            (alpha * gamma, first))

@@ -264,6 +264,14 @@ class ClassSnap:
 
 @dataclass(frozen=True)
 class SnapReport:
+    """How each eigenvalue class of a recovery snapped to an exact value.
+
+    ``all_snapped`` (``"approximate": false`` in JSON) vouches only for the
+    eigenvalue snap.  The Jordan sizes come from float rank profiles and can
+    be wrong while every class snaps: an input can come back with one
+    Jordan block split into two smaller ones.
+    """
+
     classes: tuple[ClassSnap, ...] = field(default_factory=tuple)
 
     @property

@@ -4,16 +4,17 @@ import dataclasses
 import pytest
 
 from quatrev.canonical import JordanSpec, jordan_matrix
-from quatrev.decompose import (Factorization, VerifyReport, factorize,
-                               product_involution_skew,
+from quatrev.decompose import (Factorization, VerifyReport, _split,
+                               factorize, product_involution_skew,
                                product_two_involutions,
                                product_two_skew_involutions,
                                verify_certificate)
-from quatrev.errors import CertificateError, FlavorError, NotConstructible
+from quatrev.errors import (CertificateError, DomainError, FlavorError,
+                            NotConstructible, ShapeError)
 from quatrev.matrix import QMatrix, is_involution, is_skew_involution
 from quatrev.reversers import (Certificate, FLAVOR_INVOLUTION, FLAVOR_SKEW,
-                               TARGET_INVERSE, TARGET_NEG_INVERSE,
-                               assemble_reverser)
+                               FLAVORS, TARGET_INVERSE, TARGET_NEG_INVERSE,
+                               TARGETS, assemble_reverser)
 from quatrev.scalar import Q_ONE, gr, quat
 
 from conftest import sweep_blocks
@@ -115,6 +116,28 @@ def test_factorize_refuses_kinds_without_a_split():
         assert verify_certificate(a, cert).ok
         with pytest.raises(FlavorError, match=word):
             factorize(a, cert)
+
+
+def test_factorize_keeps_the_checked_product():
+    # the factor factorize keeps from its check is the product _split forms
+    for blocks, kw in (([(gr(2), 2), (gr("1/2"), 2)], {}),
+                       ([(gr(0, 1), 3)], {"flavor": "skew-involution"}),
+                       ([(gr(0, 1), 3)], {"target": "neg-inverse"})):
+        a, cert = build(blocks, **kw)
+        assert factorize(a, cert) == _split(a, cert)
+
+
+def test_factorize_rejects_sizes_and_names_as_verify_does():
+    _, cert = build([(gr(2), 1), (gr("1/2"), 1)])
+    small = QMatrix([[quat(2)]])
+    for target in TARGETS:
+        for flavor in FLAVORS:
+            other = dataclasses.replace(cert, target=target, flavor=flavor)
+            for fn in (verify_certificate, factorize):
+                with pytest.raises(ShapeError, match="sizes do not match"):
+                    fn(small, other)
+    with pytest.raises(DomainError, match="unknown target"):
+        factorize(small, dataclasses.replace(cert, target="inverse?"))
 
 
 def test_verify_certificate_singular_matrix():
