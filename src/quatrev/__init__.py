@@ -31,7 +31,7 @@ Example
 >>> classify_psl(spec).reversible
 True
 """
-from .scalar import (GaussianRational, Quaternion, Rational, class_rep,
+from .scalar import (GaussianRational, Quaternion, class_rep,
                      class_rep_inverse, class_rep_neg_inverse, gr,
                      parse_complex, parse_rational, quat)
 from .matrix import (CMatrix, QMatrix, block_diagonal, is_involution,

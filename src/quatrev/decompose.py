@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, FlavorError
-from .matrix import QMatrix, _conjugator_checks
+from .matrix import QMatrix, conjugator_checks
 from .reversers import (Certificate, FLAVOR_GENERAL, FLAVOR_INVOLUTION,
                         FLAVOR_SKEW, TARGET_INVERSE, TARGET_NEG_INVERSE,
                         VerifyReport, check_certificate)
@@ -75,7 +75,7 @@ def factorize(a: QMatrix, cert: Certificate) -> Factorization:
         if not verify_certificate(a, cert).ok:
             raise CertificateError("certificate failed verification")
         return _split(a, cert)
-    checks, first = _conjugator_checks(cert.g, a, *split[:2])
+    checks, first = conjugator_checks(cert.g, a, *split[:2])
     if not all(checks):
         raise CertificateError("certificate failed verification")
     return _split(a, cert, QMatrix._of_ints(*first))

@@ -14,28 +14,28 @@ product of the squared norms of the pivots (H. Aslaksen, "Quaternionic
 determinants", Math. Intelligencer 18 (1996)).
 
 Arithmetic works on integers.  A matrix is held in one stored integer
-form ``(d, rows)`` (``_scaled``): d the lcm of every component denominator
+form ``(d, rows)`` (``_ints``): d the lcm of every component denominator
 and rows the integer 4-tuples of d*M (complex (re, im, 0, 0); None for
-zero).  A matrix the package builds (a product, a negation, a placement of
-blocks, a Jordan matrix, a block reverser) is born in that form
-(``_Dense._of_ints``, reduced by gcd(d, every component) so that it equals
-the form of the same entries); its scalar entries are made when first read,
-one Fraction per nonzero component, and kept.  So is a decoded matrix:
-``from_json`` reads each literal as the integers (p, q) it spells, unreduced
-("2/4" stays (2, 4); the gcd reduction makes the form the same).  A matrix
-built from entries (``inverse``, the public constructor) gets its form at
-first use.  Matrices are immutable, so the form depends only on the matrix, and
-equality and hashing compare it; every product and elimination of a check
-is still recomputed from it.  One routine, ``_product``, multiplies two
-forms in plain ints, as FLINT's ``fmpq_mat_mul`` does.  It first reads each
-operand's half: a quaternion matrix is Z + W j with Z, W complex (F. Zhang,
-Linear Algebra Appl. 251, 1997); Jordan matrices, Omega(lam) and Omega D
-have W = 0 (they lie in C), Omega j has Z = 0 (it lies in Cj), and a
-product of two such matrices lies in one half again.  When each operand
-lies in one half, every entry pair is one product of Gaussian integers,
-4 multiplications; any other pair (a dense third-party matrix, entries
-mixed between the halves) runs the 16-multiplication Hamilton loop,
-``_hamilton``.
+zero).  A matrix the package builds (a product, a sum, a negation, a
+transpose, a placement of blocks, a Jordan matrix, a block reverser) is
+born in that form (``_Dense._of_ints``, reduced by gcd(d, every component)
+so that it equals the form of the same entries); its scalar entries are
+made when first read, one Fraction per nonzero component, and kept.  So is
+a decoded matrix: ``from_json`` reads each literal as the integers (p, q)
+it spells, unreduced ("2/4" stays (2, 4); the gcd reduction makes the form
+the same).  A matrix built from entries (``inverse``, the public
+constructor) gets its form at construction.  Matrices are immutable, so
+the form depends only on the matrix, and equality and hashing compare it;
+every product and elimination of a check is still recomputed from it.  One
+routine, ``_product``, multiplies two forms in plain ints, as FLINT's
+``fmpq_mat_mul`` does.  It first reads each operand's half: a quaternion
+matrix is Z + W j with Z, W complex (F. Zhang, Linear Algebra Appl. 251,
+1997); Jordan matrices, Omega(lam) and Omega D have W = 0 (they lie in C),
+Omega j has Z = 0 (it lies in Cj), and a product of two such matrices lies
+in one half again.  When each operand lies in one half, every entry pair is
+one product of Gaussian integers, 4 multiplications; any other pair (a
+dense third-party matrix, entries mixed between the halves) runs the
+16-multiplication Hamilton loop, ``_hamilton``.
 Elimination (``qdet`` forward, ``inverse`` Gauss-Jordan) is fraction-free,
 after Bareiss (Math. Comp. 22, 1968): a row becomes N(p)*row -
 (x*conj(p))*pivot row, divided by the gcd of its entries.  The real factors
@@ -64,6 +64,7 @@ from .scalar import (GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, GaussianRational,
                      Quaternion, quaternion_ints)
 
 _F_ZERO = Fraction(0)
+_Z4 = (0, 0, 0, 0)
 _RE, _IM, _J, _K = map(operator.itemgetter, range(4))
 
 
@@ -167,34 +168,6 @@ def _hamilton(rows, cols):
     return out
 
 
-def _scaled(m):
-    """(d, rows): d the lcm of every component denominator of m, and rows
-    the integer 4-tuples of d*m (None for zero), a tuple of tuples.  Born
-    with m (``_Dense._of_ints``) or made from its entries at first use and
-    stored; nothing else writes that slot."""
-    if m._ints is None:
-        z, parts = m._szero, m._parts
-        split = [[None if x is z else parts(x) for x in row]
-                 for row in m._entries]
-        d = math.lcm(*(f.denominator for row in split for c in row
-                       if c is not None for f in c))
-        rows = []
-        for row in split:
-            ints = []
-            for comps in row:
-                if comps is None or not any(comps):
-                    ints.append(None)
-                    continue
-                a, b, c, e = comps
-                ints.append((a.numerator * (d // a.denominator),
-                             b.numerator * (d // b.denominator),
-                             c.numerator * (d // c.denominator),
-                             e.numerator * (d // e.denominator)))
-            rows.append(tuple(ints))
-        object.__setattr__(m, "_ints", (d, tuple(rows)))
-    return m._ints
-
-
 def _squares_to(d, rows, sign, halves=None):
     """Whether (rows/d)^2 = sign*I, tested as rows*rows == sign*d^2*I."""
     unit = (sign * d * d, 0, 0, 0)
@@ -264,7 +237,8 @@ def _study_det(d, rows):
 
 class _Dense:
     """Shared implementation; subclasses pin the scalar zero/one and how an
-    entry splits into, and is built from, four rational components."""
+    entry splits into, and is built from, four rational components.  The
+    stored form ``_ints`` is written once, by ``__init__`` or ``_of_ints``."""
 
     __slots__ = ("n_rows", "n_cols", "_entries", "_ints")
 
@@ -278,8 +252,18 @@ class _Dense:
         width = len(entries[0])
         if any(len(row) != width for row in entries):
             raise ShapeError("ragged rows")
+        z, parts = self._szero, self._parts
+        split = [[None if x is z else parts(x) for x in row]
+                 for row in entries]
+        d = math.lcm(*(f.denominator for row in split for c in row
+                       if c is not None for f in c))
+        ints = tuple(
+            tuple(None if c is None or not any(c) else
+                  tuple(f.numerator * (d // f.denominator) for f in c)
+                  for c in row)
+            for row in split)
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_ints", (d, ints))
         object.__setattr__(self, "n_rows", len(entries))
         object.__setattr__(self, "n_cols", width)
 
@@ -349,40 +333,46 @@ class _Dense:
         return self.entries[i][j]
 
     def transpose(self):
-        return type(self)(
-            [[self.entries[i][j] for i in range(self.n_rows)]
-             for j in range(self.n_cols)])
-
-    def map_entries(self, fn):
-        return type(self)([[fn(x) for x in row] for row in self.entries])
+        d, rows = self._ints
+        return self._of_ints(d, [*zip(*rows)])
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and _scaled(self) == _scaled(other)
+        return type(self) is type(other) and self._ints == other._ints
 
     def __hash__(self):
-        return hash((type(self).__name__, _scaled(self)))
+        return hash((type(self).__name__, self._ints))
 
     @property
     def is_zero(self) -> bool:
-        z = self._szero
-        return all(x == z for row in self.entries for x in row)
+        return not any(map(any, self._ints[1]))
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        self._expect_same_shape(other)
-        return type(self)(
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)])
+        return self._sum(other, 1)
 
     def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign*other: both forms brought to the lcm of their d, a
+        zero sum stored as None."""
         self._expect_same_shape(other)
-        return type(self)(
-            [[a - b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)])
+        (alpha, a_rows), (beta, b_rows) = self._ints, other._ints
+        d = math.lcm(alpha, beta)
+        fa, fb = d // alpha, sign * (d // beta)
+        out = []
+        for ra, rb in zip(a_rows, b_rows):
+            row = []
+            for x, y in zip(ra, rb):
+                s = tuple(fa * p + fb * q for p, q in
+                          zip(x or _Z4, y or _Z4))
+                row.append(s if any(s) else None)
+            out.append(row)
+        return self._of_ints(d, out)
 
     def __neg__(self):
-        d, rows = _scaled(self)
+        d, rows = self._ints
         return self._of_ints(d, [[e and (-e[0], -e[1], -e[2], -e[3])
                                   for e in row] for row in rows])
 
@@ -393,8 +383,8 @@ class _Dense:
             raise ShapeError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} "
                 f"by {other.n_rows}x{other.n_cols}")
-        alpha, a_rows = _scaled(self)
-        beta, b_rows = _scaled(other)
+        alpha, a_rows = self._ints
+        beta, b_rows = other._ints
         return self._of_ints(alpha * beta, _product(a_rows, b_rows))
 
     def inverse(self):
@@ -408,7 +398,7 @@ class _Dense:
         """
         if not self.is_square:
             raise ShapeError("only square matrices have inverses")
-        rows, _, _ = _eliminate(*_scaled(self), full=True)
+        rows, _, _ = _eliminate(*self._ints, full=True)
         if rows is None:
             raise SingularError("matrix is singular")
         z, build, n = self._szero, self._build, self.n_rows
@@ -447,10 +437,12 @@ class CMatrix(_Dense):
         return GaussianRational(re, im)
 
     def conjugate(self) -> "CMatrix":
-        return self.map_entries(lambda x: x.conjugate())
+        d, rows = self._ints
+        return self._of_ints(d, [[e and (e[0], -e[1], 0, 0) for e in row]
+                                 for row in rows])
 
     def to_quaternion(self) -> "QMatrix":
-        return QMatrix._of_ints(*_scaled(self))
+        return QMatrix._of_ints(*self._ints)
 
 
 class QMatrix(_Dense):
@@ -465,7 +457,7 @@ class QMatrix(_Dense):
         return (x.a, x.b, x.c, x.d)
 
     def to_cmatrix(self) -> CMatrix:
-        d, rows = _scaled(self)
+        d, rows = self._ints
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
                 if e and (e[2] or e[3]):
@@ -524,7 +516,7 @@ def place_blocks(size: int,
                  placements: Iterable[tuple[int, int, QMatrix]]) -> QMatrix:
     """Write blocks into an otherwise zero size x size matrix, each block's
     integer form brought to the lcm of theirs."""
-    placements = [(ri, ci, *_scaled(block)) for ri, ci, block in placements]
+    placements = [(ri, ci, *block._ints) for ri, ci, block in placements]
     d = math.lcm(*(den for _, _, den, _ in placements))
     grid = [[None] * size for _ in range(size)]
     for ri, ci, den, rows in placements:
@@ -557,33 +549,29 @@ def qdet(a: QMatrix) -> Fraction:
     """
     if not a.is_square:
         raise ShapeError("determinant needs a square matrix")
-    return _study_det(*_scaled(a))
+    return _study_det(*a._ints)
 
 
 def is_involution(g: QMatrix) -> bool:
-    return g.is_square and _squares_to(*_scaled(g), 1)
+    return g.is_square and _squares_to(*g._ints, 1)
 
 
 def is_skew_involution(g: QMatrix) -> bool:
-    return g.is_square and _squares_to(*_scaled(g), -1)
+    return g.is_square and _squares_to(*g._ints, -1)
 
 
 def conjugator_checks(g: QMatrix, a: QMatrix, residual_sign: int,
-                      square_sign: int) -> tuple[bool, bool, bool]:
+                      square_sign: int):
     """(A g A == residual_sign*g, g^2 == square_sign*I, qdet(g) == 1) for
     square g and A of one size, each tested in integers as the module
-    docstring says; square_sign 0 skips the square test (True)."""
-    return _conjugator_checks(g, a, residual_sign, square_sign)[0]
-
-
-def _conjugator_checks(g, a, residual_sign, square_sign):
-    """``conjugator_checks`` and the integer form (d, rows) of the first
-    product of the residual: g A for residual_sign 1, tested as A (g A), and
-    A g for -1, tested as (A g) A."""
+    docstring says; square_sign 0 skips the square test (True).  Returned
+    with the integer form (d, rows) of the first product of the residual:
+    g A for residual_sign 1, tested as A (g A), and A g for -1, tested as
+    (A g) A."""
     if not (a.is_square and g.is_square and a.n_rows == g.n_rows):
         raise ShapeError("matrix and certificate sizes do not match")
-    alpha, a_rows = _scaled(a)
-    gamma, g_rows = _scaled(g)
+    alpha, a_rows = a._ints
+    gamma, g_rows = g._ints
     ha, hg = _half(a_rows), _half(g_rows)
     # a product of halves h1 and h2 lies in h1 ^ h2: C C, Cj Cj in C
     hf = None if ha is None or hg is None else ha ^ hg

@@ -32,9 +32,9 @@ from .canonical import JordanSpec, jordan_block, jordan_matrix, offsets
 from .classify import (involution_pairing, inverse_pairing,
                        neg_inverse_pairing, odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
-                     ShapeError, SpecError)
-from .matrix import (CMatrix, QMatrix, _scaled, block_diagonal,
-                     conjugator_checks, place_blocks)
+                     SpecError)
+from .matrix import (CMatrix, QMatrix, block_diagonal, conjugator_checks,
+                     place_blocks)
 from .scalar import GR_I, GaussianRational
 
 TARGET_INVERSE = "inverse"
@@ -125,11 +125,9 @@ def check_certificate(g: QMatrix, a: QMatrix, target: str,
         raise DomainError(f"unknown target {target!r}")
     if flavor not in FLAVORS:
         raise DomainError(f"unknown flavor {flavor!r}")
-    if not (a.is_square and g.is_square and a.n_rows == g.n_rows):
-        raise ShapeError("matrix and certificate sizes do not match")
     square_sign = {FLAVOR_INVOLUTION: 1, FLAVOR_SKEW: -1}.get(flavor, 0)
     return VerifyReport(*conjugator_checks(
-        g, a, 1 if target == TARGET_INVERSE else -1, square_sign))
+        g, a, 1 if target == TARGET_INVERSE else -1, square_sign)[0])
 
 
 def certify(g: QMatrix, a: QMatrix, target: str, flavor: str) -> Certificate:
@@ -285,7 +283,7 @@ def _modified(m: CMatrix, mod: str, left: bool = False,
     -j M act on each entry alone: z j = (0, 0, re z, im z) and
     -j z = (0, 0, -re z, im z).  Works on M's integer form, entry by entry.
     """
-    d, rows = _scaled(m)
+    d, rows = m._ints
     last = m.n_rows - 1
     out = []
     for r, row in enumerate(rows):

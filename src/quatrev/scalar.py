@@ -13,8 +13,6 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = _re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
@@ -227,17 +225,8 @@ class Quaternion:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
     @property
-    def is_complex(self) -> bool:
-        return self.c == 0 and self.d == 0
-
-    @property
     def is_real(self) -> bool:
         return self.b == 0 and self.c == 0 and self.d == 0
-
-    def to_gaussian(self) -> GaussianRational:
-        if not self.is_complex:
-            raise ValueError(f"{self} has nonzero j or k part")
-        return GaussianRational(self.a, self.b)
 
     def to_json(self) -> list:
         return [format_rational(v) for v in (self.a, self.b, self.c, self.d)]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import naive_check, sweep_blocks
 from quatrev.canonical import JordanSpec, jordan_matrix
 from quatrev.errors import NotConstructible, SingularError
-from quatrev.matrix import (CMatrix, QMatrix, _scaled, is_involution,
+from quatrev.matrix import (CMatrix, QMatrix, is_involution,
                             is_skew_involution, qdet)
 from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, FLAVORS,
                                TARGET_INVERSE, TARGET_NEG_INVERSE, TARGETS,
@@ -208,8 +208,8 @@ def test_stored_integer_form_stays_correct(seed, n, denoms, density, cls,
         m, other = ms[i], ms[1 - i]
         assert _OPS[name](m, other) == _OPS[name](_fresh(m), _fresh(other))
     for m in ms:
-        d, rows = _scaled(m)
-        assert (d, rows) == _scaled(_fresh(m))
+        d, rows = m._ints
+        assert (d, rows) == _fresh(m)._ints
         assert isinstance(rows, tuple)
         assert all(isinstance(row, tuple) for row in rows)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatrev.errors import ShapeError
-from quatrev.matrix import QMatrix, _scaled
+from quatrev.matrix import QMatrix
 from quatrev.reversers import Certificate
 from quatrev.scalar import Quaternion, parse_rational
 
@@ -97,7 +97,7 @@ def test_decode_matches_the_entries_built_matrix(drawn):
     obj, built = drawn
     m = QMatrix.from_json(obj)
     assert m._entries is None  # no entry made before one is read
-    assert _scaled(m) == _scaled(QMatrix(built.entries))
+    assert m._ints == QMatrix(built.entries)._ints
     assert m == built and built == m and hash(m) == hash(built)
     assert m.entries == built.entries
     text = json.dumps(m.to_json())
@@ -106,7 +106,7 @@ def test_decode_matches_the_entries_built_matrix(drawn):
     assert _outcome(_entries_built, obj) == built
     cert = Certificate.from_json({"target": "inverse", "flavor": "general",
                                   "g": obj})
-    assert _scaled(cert.g) == _scaled(built)
+    assert cert.g._ints == built._ints
 
 
 HOSTILE = [

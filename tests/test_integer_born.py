@@ -1,14 +1,16 @@
 """Matrices born in their stored integer form against Fraction oracles.
 
 Jordan matrices, block and Weyr reversers, modified blocks, placed blocks,
-products and negations are made in the integer form ``(d, rows)`` and make
-their entries only when read.  Each one's entries equal those of an oracle
-computed scalar by scalar, and its stored form, equality and hash agree
-with the matrix built from the oracle's entries.  Products mix born
-operands with operands built from entries.
+products, sums, differences, negations, transposes and complex conjugates
+are made in the integer form ``(d, rows)`` and make their entries only when
+read.  Each one's entries equal those of an oracle computed scalar by
+scalar, and its stored form, equality and hash agree with the matrix built
+from the oracle's entries.  The operations mix born operands with operands
+built from entries, whose form is made at construction.
 """
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EIG_POOL, naive_block_reverser, naive_mul
 from quatrev.canonical import JordanSpec, jordan_block, jordan_matrix
-from quatrev.matrix import CMatrix, QMatrix, _scaled, place_blocks
+from quatrev.matrix import CMatrix, QMatrix, place_blocks
 from quatrev.partitions import Partition
 from quatrev.reversers import (_D, _J, _PLAIN, _modified, block_reverser,
                                weyr_reverser)
@@ -140,12 +142,17 @@ def _assert_is(m, oracle):
     equality and hash agree with the matrix built from them."""
     fresh = type(m)(oracle)
     assert m.entries == fresh.entries
-    assert _scaled(m) == _scaled(fresh)
+    assert m._ints == fresh._ints
     assert m == fresh and fresh == m
     assert hash(m) == hash(fresh)
     bumped = [list(row) for row in fresh.entries]
     bumped[0][0] = bumped[0][0] + m._sone
     assert m != type(m)(bumped)
+
+
+def _entrywise(op, x, y):
+    return [[op(a, b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(x.entries, y.entries)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -157,17 +164,40 @@ def test_born_matrices_match_fraction_oracles(seed, n, kind, denoms,
     dens = DENOMS[denoms]
     m, oracle = _born(rng, kind, n, dens)
     other = _random(rng, type(m), n, n, dens, density)
-    # every product and negation runs before any entry of m is read
+    wide = _random(rng, type(m), n, rng.randint(1, 7), dens, density)
+    # every operation runs before any entry of m is read
     products = [(x, y, x * y) for x, y in
                 [(m, m), (m, other), (other, m), (-m, other)]]
     negations = [(x, -x) for x in (m, other, products[0][2])]
+    sums = [(x, y, x + y, x - y) for x, y in
+            [(m, other), (other, m), (m, -m), (other, other)]]
+    transposes = [(x, x.transpose()) for x in (m, other, wide)]
+    conjugates = ([(x, x.conjugate()) for x in (m, other, wide)]
+                  if isinstance(m, CMatrix) else [])
+    zero = m - m
     swapped = (m.to_quaternion().to_cmatrix() if isinstance(m, CMatrix)
                else None)
+    assert zero._ints == (1, ((None,) * n,) * n) and zero.is_zero
     _assert_is(m, oracle)
     for x, y, p in products:
         _assert_is(p, naive_mul(x, y).entries)
     for x, neg in negations:
         _assert_is(neg, [[-v for v in row] for row in x.entries])
+    for x, y, total, diff in sums:
+        for got, op in ((total, operator.add), (diff, operator.sub)):
+            want = _entrywise(op, x, y)
+            _assert_is(got, want)
+            assert got.is_zero == all(v == m._szero for row in want
+                                      for v in row)
+    for x, t in transposes:
+        _assert_is(t, [list(col) for col in zip(*x.entries)])
+    for x, c in conjugates:
+        _assert_is(c, [[v.conjugate() for v in row] for row in x.entries])
+    for x in (m, other, wide):
+        assert x.is_zero == all(v == x._szero for row in x.entries
+                                for v in row)
+        twin = type(x)._of_ints(*x._ints)
+        assert twin == x and x == twin and hash(twin) == hash(x)
     if swapped is not None:
         _assert_is(swapped, oracle)
 
