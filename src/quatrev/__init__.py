@@ -5,8 +5,9 @@ they are conjugate to their inverse or to the negative of their inverse,
 and constructs exact, self-verifying conjugator certificates: involutions,
 skew-involutions, and the resulting factorizations of an element into a
 product of two involutions or two skew-involutions.  All core arithmetic
-is exact over the rationals; a float front-end recovers exact Jordan data
-from numeric matrices.
+is exact over the rationals; the float front end, ``quatrev.numeric``
+(not imported here, and the only module that imports numpy), recovers
+exact Jordan data from numeric matrices.
 
 Classes
 -------
@@ -22,7 +23,6 @@ Functions (selection)
 classify_psl(spec)              all reversibility flags at once
 assemble_reverser(spec, ...)    conjugator certificate for a whole spec
 factorize(a, c)                 A = s1 s2 from a verified certificate
-jordan_spec_numeric(f)          exact spec from a float matrix
 
 Example
 -------
@@ -50,9 +50,6 @@ from .reversers import (Certificate, ReversibleShape, assemble_reverser,
 from .decompose import (Factorization, VerifyReport, factorize,
                         product_involution_skew, product_two_involutions,
                         product_two_skew_involutions, verify_certificate)
-from .numeric import (NumericConfig, SnapReport, classify_numeric,
-                      jordan_spec_numeric, phi_eigenvalues, qmatrix_to_float,
-                      weyr_structure_numeric)
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

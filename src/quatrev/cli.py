@@ -3,7 +3,8 @@
 Subcommands: classify, certify, verify, decompose, omega, weyr.  Inputs are
 JSON files ("-" for stdin), inline JSON, or compact literals for specs and
 scalars.  Exit codes: 0 success, 2 parse error, 3 numeric recovery failure,
-4 not constructible, 5 failed verification.
+4 not constructible, 5 failed verification.  numpy is imported only by
+``classify --matrix``, the one subcommand that runs the float front end.
 """
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from .canonical import JordanSpec, jordan_matrix
 from .classify import classify_psl
 from .decompose import _split, factorize, verify_certificate
@@ -22,7 +21,6 @@ from .errors import (CertificateError, FlavorError, NotConstructible,
                      PairingError, QuatrevError, RankProfileError,
                      SingularError)
 from .matrix import QMatrix
-from .numeric import (NumericConfig, classify_numeric, float_matrix_from_json)
 from .partitions import parse_partition, weyr_structure_of
 from .reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
                         TARGET_NEG_INVERSE, assemble_reverser, block_reverser,
@@ -129,34 +127,32 @@ def _tolerance(text: str) -> float:
         f"expected a finite number >= 0, got {text!r}")
 
 
-def _numeric_config(args) -> NumericConfig:
-    given = {"rank_tol": args.rank_tol, "eig_cluster_tol": args.eig_tol,
-             "unit_tol": args.unit_tol}
-    return NumericConfig(**{k: v for k, v in given.items() if v is not None})
-
-
 def cmd_classify(args) -> int:
     if (args.jordan is None) == (args.matrix is None):
         raise _CliParseError("classify needs exactly one of --jordan/--matrix")
     if args.jordan is not None:
-        if args.mode == "numeric":
-            raise _CliParseError("--jordan input is exact; drop --mode numeric")
         spec = _parse_spec(args.jordan)
         out = {"spec": spec.to_json(),
                "classification": classify_psl(spec).to_json()}
         _emit(out, args.out)
         return EXIT_OK
-    if args.mode == "exact":
-        raise _CliParseError("--matrix input runs the numeric pipeline; "
-                             "drop --mode exact")
+    import numpy as np
+    from .numeric import (NumericConfig, classify_numeric,
+                          float_matrix_from_json)
     try:
         f = float_matrix_from_json(_load_json(args.matrix))
     except ValueError as exc:
         raise _CliParseError(str(exc)) from exc
+    given = {"rank_tol": args.rank_tol, "eig_cluster_tol": args.eig_tol,
+             "unit_tol": args.unit_tol}
+    config = NumericConfig(**{k: v for k, v in given.items() if v is not None})
     # an overflow or NaN inside the float pipeline is a recovery failure,
-    # not a warning followed by a result
-    with np.errstate(over="raise", invalid="raise"):
-        out = classify_numeric(f, _numeric_config(args))
+    # not a warning followed by a result; so is a numpy linear-algebra error
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = classify_numeric(f, config)
+    except np.linalg.LinAlgError as exc:
+        raise RankProfileError(str(exc)) from exc
     _emit(out, args.out)
     return EXIT_OK
 
@@ -234,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write JSON here instead "
                        "of stdout")
         if numeric:
-            p.add_argument("--mode", choices=["exact", "numeric"])
             for flag in ("--rank-tol", "--eig-tol", "--unit-tol"):
                 p.add_argument(flag, type=_tolerance)
 
@@ -292,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # first match wins: (exception types, stderr prefix, exit code)
 _FAILURES = (
-    ((PairingError, RankProfileError, SingularError, np.linalg.LinAlgError,
-      FloatingPointError), "numeric recovery failed: ", EXIT_NUMERIC),
+    ((PairingError, RankProfileError, SingularError, FloatingPointError),
+     "numeric recovery failed: ", EXIT_NUMERIC),
     ((NotConstructible, FlavorError), "not constructible: ",
      EXIT_NOT_CONSTRUCTIBLE),
     ((CertificateError,), "", EXIT_VERIFY_FAILED),

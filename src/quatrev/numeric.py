@@ -68,16 +68,17 @@ def float_matrix_to_json(f: np.ndarray) -> dict:
 def float_matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("not a float matrix object")
+    if "n" in obj and type(obj["n"]) is not int:  # a bool is not a size
+        raise ValueError("float matrix dimension must be an integer")
     try:
         arr = np.asarray(obj["entries"], dtype=float)
-        n = int(obj["n"]) if "n" in obj else None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"float matrix fields must be numbers: {exc}") from exc
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 4:
         raise ValueError("float matrix entries must form an n x n x 4 array")
     if not np.isfinite(arr).all():
         raise ValueError("float matrix entries must be finite")
-    if n is not None and n != arr.shape[0]:
+    if obj.get("n", arr.shape[0]) != arr.shape[0]:
         raise ValueError("float matrix dimension disagrees with entries")
     return arr
 

@@ -436,7 +436,10 @@ def test_classify_malformed_float_fields():
                  '{"n": null, "entries": [[[1, 0, 0, 0]]]}',
                  '{"n": 1e400, "entries": [[[1, 0, 0, 0]]]}',
                  '{"n": 1, "entries": [[[{"a": 1}, 0, 0, 0]]]}',
-                 '{"entries": 7}'):
+                 '{"entries": 7}',
+                 '{"n": 1.9, "entries": [[[1, 0, 0, 0]]]}',
+                 '{"n": true, "entries": [[[1, 0, 0, 0]]]}',
+                 '{"n": "1", "entries": [[[1, 0, 0, 0]]]}'):
         code, out, err = run("classify", "--matrix", text)
         assert code == EXIT_PARSE, text
         assert out == ""
@@ -452,12 +455,12 @@ def test_classify_overflowing_float_matrix(tmp_path):
 
 
 def test_linalg_failure_is_a_numeric_exit(monkeypatch):
-    import quatrev.cli
+    import quatrev.numeric
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(quatrev.cli, "classify_numeric", fail)
+    monkeypatch.setattr(quatrev.numeric, "classify_numeric", fail)
     f_json = json.dumps(float_matrix_to_json(np.ones((1, 1, 4))))
     code, out, err = run("classify", "--matrix", f_json)
     assert code == EXIT_NUMERIC and out == ""
@@ -535,7 +538,6 @@ _tolerance = st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "1e300"])
 # each flag's well-formed values, drawn about as often as hostile ones
 _FLAGS = {
     "classify": {"--jordan": _compact_spec, "--matrix": _inputs,
-                 "--mode": st.sampled_from(["exact", "numeric"]),
                  "--rank-tol": _tolerance, "--eig-tol": _tolerance,
                  "--unit-tol": _tolerance},
     "certify": {"--jordan": _compact_spec, "--target": _kinds,
