@@ -42,7 +42,8 @@ class Pairing:
 
 
 def _is_unit(lam: GaussianRational) -> bool:
-    return lam.norm_sq() == 1
+    x, y, z = lam._ratio()      # lam = (x + y i)/z in integers
+    return x * x + y * y == z * z
 
 
 def _pair_blocks(blocks: Sequence[tuple],

@@ -47,6 +47,10 @@ Gbar = gamma*G, alpha, gamma > 0 the lcm of each one's denominators, A G A =
 +-G, G^2 = +-I and qdet(G) = 1 (n x n) hold iff Abar Gbar Abar = +-alpha^2
 Gbar, Gbar^2 = +-gamma^2 I and qdet(Gbar) = gamma^(2n): each is its original
 multiplied through by the positive real alpha^2 gamma, gamma^2 or gamma^(2n).
+The Study determinant is multiplicative and never negative, so a passed
+square G^2 = +-I gives qdet(G)^2 = qdet(+-I) = 1 and qdet(G) = 1 with no
+elimination; ``conjugator_checks`` eliminates only for a "general"
+certificate (no square test) or a failed square.
 The residual is formed as A (G A) for the inverse and (A G) A for the
 negated inverse, so its first product is G A or A G, a factor of the
 split ``decompose.factorize`` returns.
@@ -564,10 +568,11 @@ def conjugator_checks(g: QMatrix, a: QMatrix, residual_sign: int,
                       square_sign: int):
     """(A g A == residual_sign*g, g^2 == square_sign*I, qdet(g) == 1) for
     square g and A of one size, each tested in integers as the module
-    docstring says; square_sign 0 skips the square test (True).  Returned
-    with the integer form (d, rows) of the first product of the residual:
-    g A for residual_sign 1, tested as A (g A), and A g for -1, tested as
-    (A g) A."""
+    docstring says; square_sign 0 skips the square test (True).  When the
+    square test ran and passed, qdet(g) = 1 is read off it; elimination
+    runs only for square_sign 0 or a failed square.  Returned with the
+    integer form (d, rows) of the first product of the residual: g A for
+    residual_sign 1, tested as A (g A), and A g for -1, tested as (A g) A."""
     if not (a.is_square and g.is_square and a.n_rows == g.n_rows):
         raise ShapeError("matrix and certificate sizes do not match")
     alpha, a_rows = a._ints
@@ -587,5 +592,6 @@ def conjugator_checks(g: QMatrix, a: QMatrix, residual_sign: int,
                    for e, x in zip(out_row, g_row))
     square = not square_sign or _squares_to(gamma, g_rows, square_sign,
                                             (hg, hg))
-    return ((residual, square, _study_det(gamma, g_rows) == 1),
-            (alpha * gamma, first))
+    # qdet is multiplicative and >= 0: g^2 = +-I gives qdet(g)^2 = 1
+    det_one = bool(square_sign) and square or _study_det(gamma, g_rows) == 1
+    return (residual, square, det_one), (alpha * gamma, first)

@@ -120,6 +120,9 @@ def check_certificate(g: QMatrix, a: QMatrix, target: str,
     +-alpha^2 Gbar, Gbar^2 = +-gamma^2 I and qdet(Gbar) = gamma^(2n), for
     Abar = alpha*A and Gbar = gamma*G with integer entries, are the identities
     above times the positive reals alpha^2 gamma, gamma^2 and gamma^(2n).
+    For an involution or skew-involution whose square passes, det_one is
+    read off the square: qdet(g)^2 = qdet(g^2) = 1 and qdet >= 0.  The
+    elimination runs only for "general" or a failed square.
     """
     if target not in TARGETS:
         raise DomainError(f"unknown target {target!r}")

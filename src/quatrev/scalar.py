@@ -6,6 +6,8 @@ reduced, positive denominator).  On top of those sit ``GaussianRational``
 Hamilton product).  Quaternionic spaces are treated as right modules
 throughout the package, so similarity classes of eigenvalues are represented
 by the unique complex number in the class with nonnegative imaginary part.
+``GaussianRational.norm_sq`` and ``inverse`` are computed in integers from
+re + im i = (x + y i)/z, one Fraction per returned component.
 """
 from __future__ import annotations
 
@@ -85,12 +87,20 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
+    def _ratio(self) -> tuple[int, int, int]:
+        """(x, y, z) with self = (x + y i)/z: x = a d, y = c b, z = b d
+        for re = a/b and im = c/d."""
+        b, d = self.re.denominator, self.im.denominator
+        return self.re.numerator * d, self.im.numerator * b, b * d
+
     def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        x, y, z = self._ratio()
+        return Fraction(x * x + y * y, z * z)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm_sq()
-        return GaussianRational(self.re / n, -self.im / n)
+        x, y, z = self._ratio()
+        n = x * x + y * y
+        return GaussianRational(Fraction(x * z, n), Fraction(-y * z, n))
 
     def power(self, k: int) -> "GaussianRational":
         """Integer power (negative exponents via the exact inverse)."""

@@ -66,6 +66,19 @@ def rand_invertible(rng, n, lo=-2, hi=2) -> QMatrix:
             return m
 
 
+def naive_norm_sq(lam: GaussianRational) -> Fraction:
+    """re^2 + im^2 by chained Fraction products; independent oracle for
+    ``GaussianRational.norm_sq``."""
+    return lam.re * lam.re + lam.im * lam.im
+
+
+def naive_gr_inverse(lam: GaussianRational) -> GaussianRational:
+    """conj(lam) / |lam|^2 by Fraction divisions; independent oracle for
+    ``GaussianRational.inverse``."""
+    n = naive_norm_sq(lam)
+    return GaussianRational(lam.re / n, -lam.im / n)
+
+
 def naive_mul(x, y):
     """Entrywise Fraction-loop product; independent oracle for ``*``."""
     z = x._szero

@@ -3,17 +3,21 @@ and the integer form each matrix stores for it."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import naive_check, sweep_blocks
+from conftest import naive_check, naive_qdet, sweep_blocks
+from quatrev import matrix
 from quatrev.canonical import JordanSpec, jordan_matrix
+from quatrev.decompose import factorize, verify_certificate
 from quatrev.errors import NotConstructible, SingularError
 from quatrev.matrix import (CMatrix, QMatrix, is_involution,
                             is_skew_involution, qdet)
-from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, FLAVORS,
-                               TARGET_INVERSE, TARGET_NEG_INVERSE, TARGETS,
+from quatrev.reversers import (FLAVOR_GENERAL, FLAVOR_INVOLUTION,
+                               FLAVOR_SKEW, FLAVORS, TARGET_INVERSE,
+                               TARGET_NEG_INVERSE, TARGETS, VerifyReport,
                                assemble_reverser, check_certificate)
-from quatrev.scalar import Q_ZERO, GaussianRational, Quaternion
+from quatrev.scalar import Q_ZERO, GaussianRational, Quaternion, gr, quat
 
 REQUESTS = [(t, f) for t in TARGETS for f in FLAVORS]
 KINDS = [(TARGET_INVERSE, FLAVOR_INVOLUTION), (TARGET_INVERSE, FLAVOR_SKEW),
@@ -232,3 +236,66 @@ def test_tampered_copy_fails_after_original_passed(seed, n, denoms):
         assert (check_certificate(tampered, a, *kind)
                 == naive_check(tampered, a, *kind))
         assert check_certificate(g, a, *kind).ok
+
+
+# unit pure quaternions, each squaring to -1
+UNIT_PURE = (quat(0, 1), quat(0, 0, 1), quat(0, 0, 0, 1),
+             quat(0, "3/5", "4/5"), quat(0, "1/3", "-2/3", "2/3"),
+             quat(0, "-2/7", "3/7", "6/7"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 5),
+       st.sampled_from(sorted(DENOMS)), st.booleans())
+def test_square_of_plus_minus_identity_forces_det_one(seed, n, denoms, skew):
+    """g = S D S^-1 with D = diag(+-1) or diag(unit pure quaternions) squares
+    to +-I, so qdet(g)^2 = 1 and, qdet being nonnegative, qdet(g) = 1; the
+    check reports det_one under the matching flavor."""
+    rng = random.Random(seed)
+    diag = [rng.choice(UNIT_PURE) if skew else rng.choice((quat(1), quat(-1)))
+            for _ in range(n)]
+    s, s_inv = _conjugator(rng, n, DENOMS[denoms], rng.choice([1, n, 2 * n]))
+    g = s * QMatrix.diagonal(diag) * s_inv
+    assert naive_qdet(g) == 1
+    flavor = FLAVOR_SKEW if skew else FLAVOR_INVOLUTION
+    assert (check_certificate(g, QMatrix.identity(n), TARGET_INVERSE, flavor)
+            == VerifyReport(True, True, True))
+
+
+# one passing certificate of each kind: (target, flavor) -> Jordan blocks
+_KIND_SPECS = {
+    (TARGET_INVERSE, FLAVOR_INVOLUTION): [(gr(2), 2), (gr("1/2"), 2),
+                                          (gr(-1), 1)],
+    (TARGET_INVERSE, FLAVOR_SKEW): [(gr(0, 1), 2), (gr(2), 1),
+                                    (gr("1/2"), 1)],
+    (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION): [(gr(0, 1), 1), (gr(2), 1),
+                                              (gr("-1/2"), 1)],
+}
+
+
+class _Eliminated(Exception):
+    pass
+
+
+def test_passed_square_skips_the_elimination(monkeypatch):
+    """With the Study determinant made to raise, a passing certificate of
+    each kind still verifies and factorizes; "general" and a tampered g
+    still reach the elimination."""
+    built = [(jordan_matrix(JordanSpec.of(blocks)),
+              assemble_reverser(JordanSpec.of(blocks), *kind))
+             for kind, blocks in _KIND_SPECS.items()]
+
+    def eliminated(d, rows):
+        raise _Eliminated
+
+    monkeypatch.setattr(matrix, "_study_det", eliminated)
+    rng = random.Random(17)
+    for a, cert in built:
+        assert verify_certificate(a, cert).ok
+        fact = factorize(a, cert)
+        assert fact.s1 * fact.s2 == a
+        with pytest.raises(_Eliminated):
+            check_certificate(cert.g, a, cert.target, FLAVOR_GENERAL)
+        with pytest.raises(_Eliminated):
+            check_certificate(_tamper(rng, cert.g, DENOMS["small"]), a,
+                              cert.target, cert.flavor)

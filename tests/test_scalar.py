@@ -3,8 +3,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import naive_gr_inverse, naive_norm_sq
+from quatrev.classify import _is_unit
 from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, GaussianRational,
                             Q_I, Q_J, Q_K, Q_ONE, Quaternion, class_rep,
                             class_rep_inverse, class_rep_neg_inverse,
@@ -214,3 +216,38 @@ def test_neg_inverse_is_exact_neg_of_inverse(a, b):
         return
     assert class_rep_neg_inverse(x) == -(x.inverse())
     assert class_rep_inverse(x) == class_rep(x.inverse())
+
+
+# Fraction parts with signs, zeros and denominators up to 2^60 + 3
+_big_parts = st.builds(
+    Fraction,
+    st.integers(-9, 9) | st.integers(-2**62, 2**62),
+    st.integers(1, 7) | st.integers(1, 2**60 + 3)
+    | st.sampled_from([2**60 - 1, 2**60, 2**60 + 1, 2**60 + 3]))
+
+
+def _circle_point(m, k):
+    """((m^2 - k^2) + 2mk i) / (m^2 + k^2), a point of modulus 1."""
+    q = m * m + k * k
+    return GaussianRational(Fraction(m * m - k * k, q), Fraction(2 * m * k, q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(GaussianRational, _big_parts, _big_parts)
+       | st.builds(_circle_point, st.integers(-2**29, 2**29),
+                   st.integers(1, 2**29)))
+@example(GR_ZERO)
+@example(GaussianRational(Fraction(0), Fraction(-3, 2**60 + 3)))
+@example(GaussianRational(Fraction(-5, 2**60 - 1), Fraction(0)))
+@example(gr("3/5", "-4/5"))
+def test_integer_norm_and_inverse_match_fraction_chain(lam):
+    want = naive_norm_sq(lam)
+    assert lam.norm_sq() == want
+    assert _is_unit(lam) == (want == 1)
+    if lam.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            lam.inverse()
+        return
+    inv = lam.inverse()
+    assert inv == naive_gr_inverse(lam)
+    assert lam * inv == GR_ONE
