@@ -183,15 +183,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.jordan is not None:
+    if args.jordan is not None and (args.matrix, args.cert) == (None, None):
         spec = _parse_spec(args.jordan)
         factors = _split(jordan_matrix(spec), assemble_reverser(
-            spec, target=args.target, flavor=args.flavor))
-    else:
-        if args.matrix is None or args.cert is None:
-            raise _CliParseError(
-                "decompose needs --jordan or both --matrix and --cert")
+            spec, target=args.target or TARGET_INVERSE,
+            flavor=args.flavor or "any"))
+    elif (args.jordan is None and None not in (args.matrix, args.cert)
+          and (args.target, args.flavor) == (None, None)):
         factors = factorize(*_load_matrix_and_cert(args))
+    else:
+        raise _CliParseError(
+            "decompose needs either --jordan (with optional --target and "
+            "--flavor) or both --matrix and --cert")
     _emit(factors.to_json(), args.out)
     return EXIT_OK
 
@@ -266,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", default=None)
     kind(p)
     common(p)
-    p.set_defaults(fn=cmd_decompose)
+    # None marks --target/--flavor not given: they go with --jordan only
+    p.set_defaults(fn=cmd_decompose, target=None, flavor=None)
 
     p = sub.add_parser("omega", help="print the upper-triangular block "
                        "reverser for one eigenvalue")

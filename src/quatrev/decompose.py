@@ -4,24 +4,24 @@ A certificate that passes ``verify_certificate`` splits A by algebra alone:
 A g A = g with g^2 = I gives A = g (gA) and (gA)^2 = g (AgA) = I; with
 g^2 = -I it gives A = (-g)(gA) and (gA)^2 = g^2 = -I; and A h A = -h with
 h^2 = I gives A = (Ah) h and (Ah)^2 = (AhA) h = -I.  That one check stands
-for the factor squares and the product.  A "general" certificate (its
-square unchecked) gives no factorization.  ``factorize`` runs the same
-checks as ``verify_certificate`` and keeps the first product of the
-residual, g A for the inverse (A (g A)) and A g for the negated inverse
-((A g) A): that is the factor gA or Ah, so the split multiplies nothing.
+for the factor squares and the product.  Each split is read from the kind
+table in ``reversers``; other kinds ("general", or a skew-involution for
+the negated inverse) give no factorization.  ``factorize`` first makes the
+check ``verify_certificate`` makes, for every kind, and keeps the first
+product of the residual, g A for the inverse (A (g A)) and A g for the
+negated inverse ((A g) A): that is the factor gA or Ah, so the split
+multiplies nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import CertificateError, FlavorError
-from .matrix import QMatrix, conjugator_checks
-from .reversers import (Certificate, FLAVOR_GENERAL, FLAVOR_INVOLUTION,
-                        FLAVOR_SKEW, TARGET_INVERSE, TARGET_NEG_INVERSE,
-                        VerifyReport, check_certificate)
-
-SQUARE_PLUS = "+I"
-SQUARE_MINUS = "-I"
+from .matrix import QMatrix
+from .reversers import (_KINDS, _RESIDUAL_SIGN, Certificate, FLAVOR_GENERAL,
+                        FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
+                        TARGET_NEG_INVERSE, VerifyReport, _kind_checks,
+                        check_certificate)
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,6 @@ class Factorization:
         )
 
 
-# (target, flavor) -> (residual sign, square sign, split of A into (s1, s2)
-# from g and the residual's first product P, s1^2, s2^2); P is g A for the
-# inverse and A g for the negated inverse
-_SPLITS = {
-    (TARGET_INVERSE, FLAVOR_INVOLUTION):
-        (1, 1, lambda g, p: (g, p), SQUARE_PLUS, SQUARE_PLUS),
-    (TARGET_INVERSE, FLAVOR_SKEW):
-        (1, -1, lambda g, p: (-g, p), SQUARE_MINUS, SQUARE_MINUS),
-    (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION):
-        (-1, 1, lambda g, p: (p, g), SQUARE_MINUS, SQUARE_PLUS),
-}
-
-
 def verify_certificate(a: QMatrix, cert: Certificate) -> VerifyReport:
     """Recompute every certificate check from scratch against A."""
     return check_certificate(cert.g, a, cert.target, cert.flavor)
@@ -70,12 +57,7 @@ def verify_certificate(a: QMatrix, cert: Certificate) -> VerifyReport:
 def factorize(a: QMatrix, cert: Certificate) -> Factorization:
     """A = s1 s2 read off a certificate that passes ``verify_certificate``;
     the factor other than +-g is the product the residual check formed."""
-    split = _SPLITS.get((cert.target, cert.flavor))
-    if split is None:
-        if not verify_certificate(a, cert).ok:
-            raise CertificateError("certificate failed verification")
-        return _split(a, cert)
-    checks, first = conjugator_checks(cert.g, a, *split[:2])
+    checks, first = _kind_checks(cert.g, a, cert.target, cert.flavor)
     if not all(checks):
         raise CertificateError("certificate failed verification")
     return _split(a, cert, QMatrix._of_ints(*first))
@@ -84,16 +66,16 @@ def factorize(a: QMatrix, cert: Certificate) -> Factorization:
 def _split(a: QMatrix, cert: Certificate, first=None) -> Factorization:
     """A = s1 s2 from a certificate already checked against A; ``first`` is
     the residual's first product, formed here if not given."""
-    split = _SPLITS.get((cert.target, cert.flavor))
-    if split is None:
+    kind = _KINDS.get((cert.target, cert.flavor))
+    if kind is None:
         raise FlavorError(
             "a general certificate gives no factorization; need an "
             "involution or skew-involution certificate"
             if cert.flavor == FLAVOR_GENERAL
             else "need an involution certificate for the negated inverse")
-    residual_sign, _, factors, s1_square, s2_square = split
+    factors, s1_square, s2_square = kind[2:]
     if first is None:
-        first = cert.g * a if residual_sign > 0 else a * cert.g
+        first = cert.g * a if _RESIDUAL_SIGN[cert.target] > 0 else a * cert.g
     return Factorization(*factors(cert.g, first), s1_square, s2_square)
 
 

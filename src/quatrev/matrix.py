@@ -53,7 +53,7 @@ elimination; ``conjugator_checks`` eliminates only for a "general"
 certificate (no square test) or a failed square.
 The residual is formed as A (G A) for the inverse and (A G) A for the
 negated inverse, so its first product is G A or A G, a factor of the
-split ``decompose.factorize`` returns.
+split ``decompose.factorize`` reads from the kind table in ``reversers``.
 """
 from __future__ import annotations
 

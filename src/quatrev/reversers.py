@@ -4,8 +4,8 @@ The basic building block is Omega(lam), an upper-triangular matrix defined
 by a second-order recurrence from the bottom row and written from its closed
 form in integers; it intertwines J(1/lam, n) with J(lam, n)^{-1} and its
 inverse is the same matrix at 1/lam.  Every conjugator is a direct sum over
-single blocks and inverse-partner pairs of blocks, read from one table keyed
-by (target, flavor):
+single blocks and inverse-partner pairs of blocks, read from one table of
+the three constructible kinds (target, flavor), ``_KINDS``:
 
     target       block                       B           partner block
     inverse      pair, partner 1/lam1        Omega       +-Omega(1/lam1)
@@ -21,6 +21,12 @@ J(-1/lam, s) to -J(lam, s)^{-1} and D^2 = I.  Singles sit on the diagonal
 and pairs on the antidiagonal of their two blocks.  Every constructor
 returns a ``Certificate`` that has already verified its residual, its
 flavor (involution or skew-involution), and determinant one.
+
+Each fact about a kind is written here once: a target's residual sign and
+a flavor's square sign in two maps, and a constructible kind's modifiers
+and split of A into two factors (read by ``decompose``) in ``_KINDS``.
+``certify``, ``check_certificate`` and ``decompose.factorize`` reach
+``conjugator_checks`` through one helper, ``_kind_checks``.
 """
 from __future__ import annotations
 
@@ -44,8 +50,32 @@ FLAVOR_INVOLUTION = "involution"
 FLAVOR_SKEW = "skew-involution"
 FLAVOR_GENERAL = "general"
 
-TARGETS = (TARGET_INVERSE, TARGET_NEG_INVERSE)
-FLAVORS = (FLAVOR_INVOLUTION, FLAVOR_SKEW, FLAVOR_GENERAL)
+SQUARE_PLUS, SQUARE_MINUS = "+I", "-I"
+
+# target -> r in A g A = r g; flavor -> s in g^2 = s I (0: untested)
+_RESIDUAL_SIGN = {TARGET_INVERSE: 1, TARGET_NEG_INVERSE: -1}
+_SQUARE_SIGN = {FLAVOR_INVOLUTION: 1, FLAVOR_SKEW: -1, FLAVOR_GENERAL: 0}
+
+TARGETS = tuple(_RESIDUAL_SIGN)
+FLAVORS = tuple(_SQUARE_SIGN)
+
+# B = Omega(lam1) X for a modifier X; a pair's partner block is
+# s X^{-1} Omega(1/lam1) for the flavor's square sign s, so that g^2 = s I.
+# A partner conj(1/lam1), not the literal 1/lam1, needs the j to conjugate it.
+_PLAIN, _J, _D = "1", "j", "D"
+_J_IF_CONJ = "1 or j"   # j iff the partner is not the literal 1/lam1
+
+# The constructible kinds: (target, flavor) -> (single-block modifier, pair
+# modifier, split of A into (s1, s2) from g and the residual's first product
+# P, s1^2, s2^2); P is g A for the inverse and A g for the negated inverse.
+_KINDS = {
+    (TARGET_INVERSE, FLAVOR_INVOLUTION):
+        (_PLAIN, _J_IF_CONJ, lambda g, p: (g, p), SQUARE_PLUS, SQUARE_PLUS),
+    (TARGET_INVERSE, FLAVOR_SKEW):
+        (_J, _J_IF_CONJ, lambda g, p: (-g, p), SQUARE_MINUS, SQUARE_MINUS),
+    (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION):
+        (_D, _D, lambda g, p: (p, g), SQUARE_MINUS, SQUARE_PLUS),
+}
 
 
 @dataclass(frozen=True)
@@ -116,21 +146,23 @@ def check_certificate(g: QMatrix, a: QMatrix, target: str,
     ("neg-inverse"), which for invertible A says g A g^{-1} = +-A^{-1}
     without forming A^{-1}; for singular A it fails whenever det g = 1.
     The flavor check is g^2 = I or g^2 = -I, skipped only for "general".
-    All three run in integers (``conjugator_checks``): Abar Gbar Abar =
-    +-alpha^2 Gbar, Gbar^2 = +-gamma^2 I and qdet(Gbar) = gamma^(2n), for
-    Abar = alpha*A and Gbar = gamma*G with integer entries, are the identities
-    above times the positive reals alpha^2 gamma, gamma^2 and gamma^(2n).
+    All three run in integers (``conjugator_checks``; the ``matrix``
+    docstring gives the scaled identities).
     For an involution or skew-involution whose square passes, det_one is
     read off the square: qdet(g)^2 = qdet(g^2) = 1 and qdet >= 0.  The
     elimination runs only for "general" or a failed square.
     """
-    if target not in TARGETS:
+    return VerifyReport(*_kind_checks(g, a, target, flavor)[0])
+
+
+def _kind_checks(g: QMatrix, a: QMatrix, target: str, flavor: str):
+    """``conjugator_checks`` with the signs of the kind (target, flavor)."""
+    if target not in _RESIDUAL_SIGN:
         raise DomainError(f"unknown target {target!r}")
-    if flavor not in FLAVORS:
+    if flavor not in _SQUARE_SIGN:
         raise DomainError(f"unknown flavor {flavor!r}")
-    square_sign = {FLAVOR_INVOLUTION: 1, FLAVOR_SKEW: -1}.get(flavor, 0)
-    return VerifyReport(*conjugator_checks(
-        g, a, 1 if target == TARGET_INVERSE else -1, square_sign)[0])
+    return conjugator_checks(g, a, _RESIDUAL_SIGN[target],
+                             _SQUARE_SIGN[flavor])
 
 
 def certify(g: QMatrix, a: QMatrix, target: str, flavor: str) -> Certificate:
@@ -198,27 +230,23 @@ def weyr_reverser(alpha: GaussianRational, p) -> CMatrix:
     """Weyr-form analogue of the block reverser for a unit-modulus class.
 
     For Jordan sizes p with largest part r, the matrix is blocked along the
-    conjugate structure (n_1, ..., n_r); block (i, j) is
-    (-1)^(r-i) C(r-i-1, j-i) conj(alpha)^(2r-i-j) times the truncated
-    identity, the last block column is zero apart from the identity corner,
-    and out-of-range binomials vanish.  Multiplying by j on the right gives
-    the conjugator that reverses the basic Weyr matrix.
+    conjugate structure (n_1, ..., n_r); block (i, j) is entry (i, j) of
+    Omega(alpha) (size r) times the truncated identity.  Multiplying by j
+    on the right gives the conjugator that reverses the basic Weyr matrix.
     """
     if alpha.norm_sq() != 1:
         raise DomainError("eigenvalue must have unit modulus")
     sizes = p.conjugate().parts
-    r = len(sizes)
-    den, power = _inverse_powers(alpha, 2 * r - 2)  # conj(alpha) = 1/alpha
+    den, omega = block_reverser(alpha, len(sizes))._ints
     offs = offsets(sizes)
     n = sum(sizes)
     rows = [[None] * n for _ in range(n)]
-    for i in range(1, r + 1):
-        for j in range(i, max(i + 1, r)):   # block column r: corner only
-            c = (-1) ** (r - i) * math.comb(max(r - i - 1, 0), j - i)
-            x, y = power[2 * r - i - j]
-            # truncated identity: rows sizes[i-1], cols sizes[j-1]
-            for t in range(min(sizes[i - 1], sizes[j - 1])):
-                rows[offs[i - 1] + t][offs[j - 1] + t] = (c * x, c * y, 0, 0)
+    for i, omega_row in enumerate(omega):
+        for j, z in enumerate(omega_row):
+            if z is not None:
+                # truncated identity: rows sizes[i], cols sizes[j]
+                for t in range(min(sizes[i], sizes[j])):
+                    rows[offs[i] + t][offs[j] + t] = z
     return CMatrix._of_ints(den, rows)
 
 
@@ -260,21 +288,7 @@ def shape_matrix(shape: ReversibleShape, param: GaussianRational,
 
 
 # ---------------------------------------------------------------------------
-# the construction table
-
-# Each block, or inverse-partner pair of blocks, gets B = Omega(lam1) X for a
-# modifier X; the partner block of a pair is sign * X^{-1} Omega(1/lam1), so
-# that g^2 = sign * I.  A partner J(lam2) with lam2 = conj(1/lam1) rather than
-# the literal 1/lam1 needs the j, which turns it into its complex conjugate.
-_PLAIN, _J, _D = "1", "j", "D"
-_J_IF_CONJUGATE = "1 or j"   # j iff the partner is not the literal 1/lam1
-
-# (target, flavor) -> (sign of g^2, single-block modifier, pair modifier)
-_CONSTRUCTIONS = {
-    (TARGET_INVERSE, FLAVOR_INVOLUTION): (1, _PLAIN, _J_IF_CONJUGATE),
-    (TARGET_INVERSE, FLAVOR_SKEW): (-1, _J, _J_IF_CONJUGATE),
-    (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION): (1, _D, _D),
-}
+# building g from the kind table
 
 
 def _modified(m: CMatrix, mod: str, left: bool = False,
@@ -305,13 +319,14 @@ def _modified(m: CMatrix, mod: str, left: bool = False,
 
 
 def _place(a: QMatrix, target: str, flavor: str, blocks) -> Certificate:
-    """Build g from the table and certify it against A.
+    """Build g from the kind table and certify it against A.
 
     ``blocks`` holds (row, col, lam1, lam2, s): a single block (row == col)
     goes on the diagonal, a pair's B at (row, col) and its partner block at
     (col, row).
     """
-    sign, single_mod, pair_mod = _CONSTRUCTIONS[(target, flavor)]
+    single_mod, pair_mod = _KINDS[(target, flavor)][:2]
+    sign = _SQUARE_SIGN[flavor]
     placements = []
     for row, col, lam1, lam2, s in blocks:
         omega = block_reverser(lam1, s)
@@ -320,7 +335,7 @@ def _place(a: QMatrix, target: str, flavor: str, blocks) -> Certificate:
             continue
         lam1_inv = lam1.inverse()
         mod = pair_mod
-        if mod == _J_IF_CONJUGATE:
+        if mod == _J_IF_CONJ:
             mod = _PLAIN if lam2 == lam1_inv else _J
         placements.append((row, col, _modified(omega, mod)))
         placements.append((col, row, _modified(block_reverser(lam1_inv, s),

@@ -176,9 +176,15 @@ def test_decompose_from_matrix_and_cert(tmp_path):
     doc = json.loads(cert_path.read_text())
     mat_path.write_text(json.dumps(doc["matrix"]))
     code, out, _ = run("decompose", "--matrix", str(mat_path),
-                       "--cert", str(cert_path), "--flavor", "involution")
+                       "--cert", str(cert_path))
     assert code == EXIT_OK
     assert json.loads(out)["s1_square"] == "+I"
+    # the certificate names its kind: --target/--flavor go with --jordan only
+    for flag, value in (("--flavor", "involution"), ("--target", "inverse")):
+        code, out, err = run("decompose", "--matrix", str(mat_path),
+                             "--cert", str(cert_path), flag, value)
+        assert (code, out) == (EXIT_PARSE, "")
+        _one_line_error(err)
 
 
 def test_omega_subcommand():
@@ -552,12 +558,28 @@ _FLAGS = {
 }
 
 
+# decompose takes one input: --jordan (with optional --target and --flavor)
+# or both --matrix and --cert; mode -> (flags always given, optional flags)
+_DECOMPOSE_MODES = {"jordan": (("--jordan",), ("--target", "--flavor")),
+                    "matrix": (("--matrix", "--cert"), ())}
+
+
 @st.composite
 def _hostile_argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
-    for flag, good in _FLAGS[command].items():
-        how = draw(st.sampled_from(["well-formed", "hostile", "absent"]))
+    flags, required = _FLAGS[command], ()
+    if command == "decompose":
+        # the mode first, so that 4 in 5 draws reach one of the two paths;
+        # the rest draw every flag freely, mostly a mix that must exit 2
+        mode = draw(st.sampled_from(["jordan", "jordan", "matrix", "matrix",
+                                     "mixed"]))
+        if mode != "mixed":
+            required, optional = _DECOMPOSE_MODES[mode]
+            flags = {f: flags[f] for f in required + optional}
+    for flag, good in flags.items():
+        how = draw(st.sampled_from(["well-formed", "hostile"]
+                                   + ["absent"] * (flag not in required)))
         if how != "absent":
             argv.append(flag)
         if how != "absent" and good is not None:

@@ -1,5 +1,7 @@
 """Products of two (skew-)involutions and certificate verification."""
 import dataclasses
+import json
+import pathlib
 
 import pytest
 
@@ -116,6 +118,43 @@ def test_factorize_refuses_kinds_without_a_split():
         assert verify_certificate(a, cert).ok
         with pytest.raises(FlavorError, match=word):
             factorize(a, cert)
+
+
+_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("source", ["inv-involution", "inv-skew",
+                                    "neg-involution"])
+def test_factorize_agrees_with_verify_for_every_kind(source, target, flavor,
+                                                     tampered):
+    """A dense golden certificate, relabelled to (target, flavor) and maybe
+    tampered: ``factorize`` raises CertificateError iff the certificate fails
+    ``verify_certificate``, else FlavorError iff its kind has no split, else
+    returns s1 s2 = A with the squares it names."""
+    a = QMatrix.from_json(json.loads(
+        (_INPUTS / f"{source}.dense-matrix.json").read_text()))
+    obj = json.loads((_INPUTS / f"{source}.dense-cert.json").read_text())
+    obj.update(target=target, flavor=flavor)
+    if tampered:
+        obj["g"]["entries"][0][0][0] = "17"
+    cert = Certificate.from_json(obj)
+    if not verify_certificate(a, cert).ok:
+        with pytest.raises(CertificateError):
+            factorize(a, cert)
+    elif (target, flavor) not in ((TARGET_INVERSE, FLAVOR_INVOLUTION),
+                                  (TARGET_INVERSE, FLAVOR_SKEW),
+                                  (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION)):
+        with pytest.raises(FlavorError):
+            factorize(a, cert)
+    else:
+        f = factorize(a, cert)
+        assert f.s1 * f.s2 == a
+        for s, square in ((f.s1, f.s1_square), (f.s2, f.s2_square)):
+            assert (is_involution if square == "+I"
+                    else is_skew_involution)(s)
 
 
 def test_factorize_keeps_the_checked_product():

@@ -1,11 +1,15 @@
-"""Golden CLI corpus: every case's stdout must match its recorded bytes.
+"""Golden CLI corpus: every case's stdout and stderr must match its
+recorded bytes.
 
 Each entry of ``golden/cases.json`` names an argv (``{inputs}`` expands to
 ``golden/inputs``) and its exit code; ``golden/<name>.out`` holds the exact
-stdout.  The inputs are certificates of three specs, one per (target,
+stdout and ``golden/<name>.err`` the exact stderr (empty for exit 0), with
+the inputs directory written back as ``{inputs}``.  The inputs are certificates of three specs, one per (target,
 flavor) kind, as ``certify`` writes them, the same pairs conjugated to
 dense S^{-1} A S, S^{-1} g S by a fixed random S with j and k parts, a
-skew certificate relabelled "general" and one with a tampered entry, and
+skew certificate relabelled "general", that one and an involution
+certificate each with a tampered entry, a ``decompose`` given both input
+modes, and
 float matrices for ``classify --matrix`` (dense conjugates that snap with a
 size-2 block, fail on the 1+i, (1+i)/2 pair with exit 3, or keep unsnapped
 classes, and 1x1 inputs whose class lies within unit_tol of 0).
@@ -27,25 +31,27 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def run_case(case):
-    argv = [a.replace("{inputs}", str(GOLDEN / "inputs"))
-            for a in case["argv"]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    inputs = str(GOLDEN / "inputs")
+    argv = [a.replace("{inputs}", inputs) for a in case["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue().replace(inputs, "{inputs}")
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_stdout(case):
-    code, out = run_case(case)
+    code, out, err = run_case(case)
     assert code == case["exit"]
     expected = (GOLDEN / f"{case['name']}.out").read_bytes()
     assert out.encode("utf-8") == expected
+    assert err.encode("utf-8") == (GOLDEN / f"{case['name']}.err").read_bytes()
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     for case in CASES:
-        code, out = run_case(case)
+        code, out, err = run_case(case)
         if code != case["exit"]:
             sys.exit(f"{case['name']}: exit {code}, expected {case['exit']}")
         (GOLDEN / f"{case['name']}.out").write_bytes(out.encode("utf-8"))
+        (GOLDEN / f"{case['name']}.err").write_bytes(err.encode("utf-8"))
