@@ -307,6 +307,9 @@ class _Dense:
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("matrices are immutable")
+
     # -- construction helpers -------------------------------------------
 
     @classmethod

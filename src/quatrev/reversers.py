@@ -27,9 +27,15 @@ a flavor's square sign in two maps, and a constructible kind's modifiers
 and split of A into two factors (read by ``decompose``) in ``_KINDS``.
 ``certify``, ``check_certificate`` and ``decompose.factorize`` reach
 ``conjugator_checks`` through one helper, ``_kind_checks``.
+
+Every block of a conjugator comes from one memo, ``_block``, keyed by
+(lam, size, modifier, side, sign) and bounded at ``_BLOCK_MEMO`` = 256
+blocks (the total-size <= 6 sweep asks for 84).  It holds blocks only:
+no check is ever cached, so every certificate is checked from scratch.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -318,6 +324,26 @@ def _modified(m: CMatrix, mod: str, left: bool = False,
     return QMatrix._of_ints(d, out)
 
 
+_BLOCK_MEMO = 256
+
+
+@functools.lru_cache(maxsize=_BLOCK_MEMO)
+def _block(lam: GaussianRational, s: int, mod: str, left: bool,
+           sign: int) -> QMatrix:
+    """The finished block ``_modified(block_reverser(lam, s), mod, left,
+    sign)``, memoized.
+
+    Key: (lam, s, mod, left, sign), all hashable values.  Bound:
+    ``_BLOCK_MEMO`` least recently used entries, so the memo holds at most
+    ``_BLOCK_MEMO`` times the largest block built (a size-s block has
+    s(s+1)/2 nonzero entries over one denominator).  Sharing one block
+    between certificates is safe because matrices are immutable: placement
+    copies its integer form into a new matrix.  Only construction is
+    memoized; every check of a certificate built from it runs afresh.
+    """
+    return _modified(block_reverser(lam, s), mod, left=left, sign=sign)
+
+
 def _place(a: QMatrix, target: str, flavor: str, blocks) -> Certificate:
     """Build g from the kind table and certify it against A.
 
@@ -329,17 +355,16 @@ def _place(a: QMatrix, target: str, flavor: str, blocks) -> Certificate:
     sign = _SQUARE_SIGN[flavor]
     placements = []
     for row, col, lam1, lam2, s in blocks:
-        omega = block_reverser(lam1, s)
         if row == col:
-            placements.append((row, row, _modified(omega, single_mod)))
+            placements.append((row, row,
+                               _block(lam1, s, single_mod, False, 1)))
             continue
         lam1_inv = lam1.inverse()
         mod = pair_mod
         if mod == _J_IF_CONJ:
             mod = _PLAIN if lam2 == lam1_inv else _J
-        placements.append((row, col, _modified(omega, mod)))
-        placements.append((col, row, _modified(block_reverser(lam1_inv, s),
-                                               mod, left=True, sign=sign)))
+        placements.append((row, col, _block(lam1, s, mod, False, 1)))
+        placements.append((col, row, _block(lam1_inv, s, mod, True, sign)))
     return certify(place_blocks(a.n_rows, placements), a, target, flavor)
 
 
@@ -358,7 +383,7 @@ def shape_reverser(shape: ReversibleShape, param: GaussianRational,
 
 def neg_reverser_i_matrix(n: int) -> CMatrix:
     """Involution conjugating J(i, n) to minus its inverse: Omega(i) D."""
-    return _modified(block_reverser(GR_I, n), _D).to_cmatrix()
+    return _block(GR_I, n, _D, False, 1).to_cmatrix()
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +403,12 @@ def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
     if flavor not in ("any", FLAVOR_INVOLUTION, FLAVOR_SKEW):
         raise DomainError(f"unknown flavor {flavor!r}")
 
+    if flavor != "any" and (target, flavor) not in _KINDS:
+        raise NotConstructible(
+            f"no {flavor} construction for the "
+            f"{'negated inverse' if target == TARGET_NEG_INVERSE else target}"
+            "; request an involution")
     if target == TARGET_NEG_INVERSE:
-        if flavor == FLAVOR_SKEW:
-            raise NotConstructible(
-                "no skew-involution construction for the negated inverse; "
-                "request an involution")
         pairing, reason = neg_inverse_pairing(spec)
         if pairing is None:
             raise NotConstructible(

@@ -8,15 +8,19 @@ import numpy as np
 import pytest
 
 from quatrev.canonical import JordanSpec, jordan_block, jordan_matrix
+from quatrev.classify import (involution_pairing, inverse_pairing,
+                              neg_inverse_pairing)
 from quatrev.errors import (NotSingleBlock, PairingError, RankProfileError,
                             ShapeError, SingularError)
-from quatrev.matrix import CMatrix, QMatrix, qdet
+from quatrev.matrix import CMatrix, QMatrix, place_blocks, qdet
 from quatrev.numeric import (_NO_PAIRING, _ROUNDS_TO_ZERO, ClassSnap,
                              NumericConfig, SnapReport, _radius_ladder,
                              phi_embed_float, qmatrix_to_float,
                              weyr_structure_numeric)
-from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,
-                               TARGET_INVERSE, VerifyReport)
+from quatrev.reversers import (_KINDS, _PLAIN, _J, _J_IF_CONJ,
+                               FLAVOR_INVOLUTION, FLAVOR_SKEW,
+                               TARGET_INVERSE, TARGET_NEG_INVERSE,
+                               VerifyReport, _modified, block_reverser)
 from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, Q_ZERO, GaussianRational,
                             Quaternion, class_rep_inverse, gr)
 
@@ -274,6 +278,40 @@ def single_block_conjugator(m: CMatrix, mu: GaussianRational) -> CMatrix:
         raise NotSingleBlock("matrix is not similar to a single Jordan block "
                              f"at {mu}")
     return p
+
+
+# each constructible kind's pairing, as ``assemble_reverser`` chooses it
+_NAIVE_PAIRING = {(TARGET_INVERSE, FLAVOR_INVOLUTION): involution_pairing,
+                  (TARGET_INVERSE, FLAVOR_SKEW): inverse_pairing,
+                  (TARGET_NEG_INVERSE, FLAVOR_INVOLUTION): neg_inverse_pairing}
+
+
+def naive_place(spec: JordanSpec, target: str, flavor: str) -> QMatrix:
+    """g for a spec and a constructible kind, every block built afresh
+    (``block_reverser``, then ``_modified``, then ``place_blocks``) with no
+    memo; oracle for the blocks ``assemble_reverser`` reads from ``_block``.
+    """
+    pairing = _NAIVE_PAIRING[(target, flavor)](spec)[0]
+    single_mod, pair_mod = _KINDS[(target, flavor)][:2]
+    sign = -1 if flavor == FLAVOR_SKEW else 1
+    offs = spec.block_offsets()
+    placements = []
+    for i in pairing.singletons:
+        lam, s = spec.blocks[i]
+        placements.append((offs[i], offs[i],
+                           _modified(block_reverser(lam, s), single_mod)))
+    for ia, ib in pairing.pairs:
+        (lam1, s), (lam2, _) = spec.blocks[ia], spec.blocks[ib]
+        lam1_inv = lam1.inverse()
+        mod = pair_mod
+        if mod == _J_IF_CONJ:
+            mod = _PLAIN if lam2 == lam1_inv else _J
+        placements.append((offs[ia], offs[ib],
+                           _modified(block_reverser(lam1, s), mod)))
+        placements.append((offs[ib], offs[ia],
+                           _modified(block_reverser(lam1_inv, s), mod,
+                                     left=True, sign=sign)))
+    return place_blocks(spec.total_size, placements)
 
 
 def neg_i_closed_form(n: int) -> CMatrix:

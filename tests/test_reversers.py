@@ -15,8 +15,8 @@ from quatrev.errors import (CertificateError, DomainError, NotConstructible,
 from quatrev.matrix import (QMatrix, block_diagonal, is_involution,
                             is_skew_involution, qdet)
 from quatrev.partitions import Partition, weyr_structure_of
-from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,
-                               TARGET_INVERSE, TARGET_NEG_INVERSE,
+from quatrev.reversers import (_KINDS, FLAVOR_INVOLUTION, FLAVOR_SKEW,
+                               TARGET_INVERSE, TARGET_NEG_INVERSE, TARGETS,
                                Certificate, ReversibleShape, assemble_reverser,
                                block_reverser, certify, neg_reverser_i_matrix,
                                shape_matrix, shape_reverser,
@@ -436,6 +436,21 @@ def test_assemble_neg_inverse_skew_not_constructible():
     spec = JordanSpec.of([(gr(0, 1), 2)])
     with pytest.raises(NotConstructible):
         assemble_reverser(spec, target="neg-inverse", flavor="skew-involution")
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("flavor", [FLAVOR_INVOLUTION, FLAVOR_SKEW])
+def test_assemble_constructs_exactly_the_kind_table(target, flavor):
+    # pairs 2 with 1/2 and -2 with -1/2 for the inverse, 2 with -1/2 and
+    # -2 with 1/2 for the negated inverse: every refusal is the kind's
+    spec = JordanSpec.of([(gr(2), 1), (gr("1/2"), 1), (gr(-2), 1),
+                          (gr("-1/2"), 1)])
+    if (target, flavor) in _KINDS:
+        cert = assemble_reverser(spec, target, flavor)
+        assert (cert.target, cert.flavor) == (target, flavor)
+    else:
+        with pytest.raises(NotConstructible):
+            assemble_reverser(spec, target, flavor)
 
 
 def test_assemble_refuses_non_neg_reversible():
