@@ -17,14 +17,15 @@ Arithmetic works on integers.  A matrix is held in one stored integer
 form ``(d, rows)`` (``_ints``): d the lcm of every component denominator
 and rows the integer 4-tuples of d*M (complex (re, im, 0, 0); None for
 zero).  A matrix the package builds (a product, a sum, a negation, a
-transpose, a placement of blocks, a Jordan matrix, a block reverser) is
-born in that form (``_Dense._of_ints``, reduced by gcd(d, every component)
-so that it equals the form of the same entries); its scalar entries are
-made when first read, one Fraction per nonzero component, and kept.  So is
-a decoded matrix: ``from_json`` reads each literal as the integers (p, q)
-it spells, unreduced ("2/4" stays (2, 4); the gcd reduction makes the form
-the same).  A matrix built from entries (``inverse``, the public
-constructor) gets its form at construction.  Matrices are immutable, so
+transpose, a placement of blocks, a Jordan matrix, a block reverser, an
+inverse) is born in that form (``_Dense._of_ints``, reduced by gcd(d, every
+component) so that it equals the form of the same entries).  So is a
+decoded matrix: ``from_json`` reads each literal as the integers (p, q) it
+spells, unreduced ("2/4" stays (2, 4); the gcd reduction makes the form the
+same).  A matrix built from entries (the public constructor) gets its form
+at construction and keeps no entry.  The form is all a matrix holds: its
+scalar entries are made from it on each read (``entries``, ``entry``), one
+Fraction per nonzero component.  Matrices are immutable, so
 the form depends only on the matrix, and equality and hashing compare it;
 every product and elimination of a check is still recomputed from it.  One
 routine, ``_product``, multiplies two forms in plain ints, as FLINT's
@@ -244,7 +245,7 @@ class _Dense:
     entry splits into, and is built from, four rational components.  The
     stored form ``_ints`` is written once, by ``__init__`` or ``_of_ints``."""
 
-    __slots__ = ("n_rows", "n_cols", "_entries", "_ints")
+    __slots__ = ("n_rows", "n_cols", "_ints")
 
     _szero = None
     _sone = None
@@ -266,7 +267,6 @@ class _Dense:
                   tuple(f.numerator * (d // f.denominator) for f in c)
                   for c in row)
             for row in split)
-        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_ints", (d, ints))
         object.__setattr__(self, "n_rows", len(entries))
         object.__setattr__(self, "n_cols", width)
@@ -285,7 +285,6 @@ class _Dense:
             rows = [[e and (e[0] // g, e[1] // g, e[2] // g, e[3] // g)
                      for e in row] for row in rows]
         m = object.__new__(cls)
-        object.__setattr__(m, "_entries", None)
         object.__setattr__(m, "_ints", (d, tuple(map(tuple, rows))))
         object.__setattr__(m, "n_rows", len(rows))
         object.__setattr__(m, "n_cols", len(rows[0]))
@@ -293,16 +292,12 @@ class _Dense:
 
     @property
     def entries(self):
-        """The scalar entries, a tuple of tuples; for a matrix born in its
-        integer form, made at first read (one Fraction per nonzero
-        component, zeros the shared zero) and kept."""
-        if self._entries is None:
-            d, rows = self._ints
-            z, build = self._szero, self._build
-            object.__setattr__(self, "_entries", tuple(
-                tuple(_entry(build, s, d) if s else z for s in row)
-                for row in rows))
-        return self._entries
+        """The scalar entries, a tuple of tuples, made from the stored form
+        on each read: one Fraction per nonzero component, zeros the shared
+        zero."""
+        d, rows = self._ints
+        return tuple(tuple(_entry(self._build, s, d) if s else self._szero
+                           for s in row) for row in rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -337,7 +332,9 @@ class _Dense:
         return self.n_rows == self.n_cols
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        d, rows = self._ints
+        s = rows[i][j]
+        return _entry(self._build, s, d) if s else self._szero
 
     def transpose(self):
         d, rows = self._ints
@@ -400,7 +397,8 @@ class _Dense:
         Runs ``_eliminate`` on the integer rows of [d*A | d*I], d the lcm of
         A's denominators.  The left half ends diagonal, p_r in row r, and
         the right half R satisfies R*A = diag(p_r), so row r of the inverse
-        is conj(p_r)*R_r / |p_r|^2: one Fraction per nonzero component.
+        is conj(p_r)*R_r / |p_r|^2.  The inverse is born in its integer form
+        over the lcm of the |p_r|^2; no Fraction is made.
         Raises ``SingularError`` exactly when A is singular.
         """
         if not self.is_square:
@@ -408,13 +406,12 @@ class _Dense:
         rows, _, _ = _eliminate(*self._ints, full=True)
         if rows is None:
             raise SingularError("matrix is singular")
-        z, build, n = self._szero, self._build, self.n_rows
-        out = []
-        for r, row in enumerate(rows):
-            pbar, norm = _conj_norm(row[r])
-            out.append([_entry(build, _hmul(pbar, e), norm) if e else z
-                        for e in row[n:]])
-        return type(self)(out)
+        n = self.n_rows
+        pivots = [_conj_norm(row[r]) for r, row in enumerate(rows)]
+        d = math.lcm(*(norm for _, norm in pivots))
+        return self._of_ints(d, [
+            [e and tuple(d // norm * c for c in _hmul(pbar, e))
+             for e in row[n:]] for row, (pbar, norm) in zip(rows, pivots)])
 
     def _expect_same_shape(self, other):
         if type(self) is not type(other):
@@ -469,7 +466,7 @@ class QMatrix(_Dense):
             for j, e in enumerate(row):
                 if e and (e[2] or e[3]):
                     raise ValueError(
-                        f"{self.entries[i][j]} has nonzero j or k part")
+                        f"{self.entry(i, j)} has nonzero j or k part")
         return CMatrix._of_ints(d, rows)
 
     def to_json(self) -> dict:

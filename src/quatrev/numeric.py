@@ -296,8 +296,6 @@ def _snap_value(z: complex,
             return cand
     re = Fraction(z.real).limit_denominator(64)
     im = Fraction(z.imag).limit_denominator(64)
-    if im < 0:
-        im = -im
     guess = GaussianRational(re, im)
     if not guess.is_zero and abs(z - guess.to_complex()) <= tol:
         return guess
@@ -391,10 +389,13 @@ def classify_approximate(spec_classes: Sequence[tuple[complex, int]],
         spec_classes, lambda z: near(z, 1j), lambda z: rep(-1 / z), near)
     reversible = inv_pairing is not None
     neg = neg_pairing is not None
-    counts: dict[tuple[float, float, int], int] = {}
+    # non-real unit classes counted by the relation pairing uses: a class
+    # joins the first counted (value, size) of its size that is near it
+    counts: dict[tuple[complex, int], int] = {}
     for z, size in spec_classes:
         if is_unit(z) and z.imag > tol:
-            key = (round(z.real, 6), round(z.imag, 6), size)
+            key = next((k for k in counts if k[1] == size and near(k[0], z)),
+                       (z, size))
             counts[key] = counts.get(key, 0) + 1
     odd_units = any(c % 2 for c in counts.values())
     strongly = reversible and not odd_units

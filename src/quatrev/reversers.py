@@ -30,8 +30,11 @@ and split of A into two factors (read by ``decompose``) in ``_KINDS``.
 
 Every block of a conjugator comes from one memo, ``_block``, keyed by
 (lam, size, modifier, side, sign) and bounded at ``_BLOCK_MEMO`` = 256
-blocks (the total-size <= 6 sweep asks for 84).  It holds blocks only:
-no check is ever cached, so every certificate is checked from scratch.
+blocks (the total-size <= 6 sweep asks for 84).  A block is the table's
+algebra formed by the one integer matrix product, with X the diagonal
+modifier: Omega(lam1) X, or s X^{-1} Omega(1/lam1) for a partner.  The memo
+holds blocks only: no check is ever cached, so every certificate is checked
+from scratch.
 """
 from __future__ import annotations
 
@@ -297,51 +300,34 @@ def shape_matrix(shape: ReversibleShape, param: GaussianRational,
 # building g from the kind table
 
 
-def _modified(m: CMatrix, mod: str, left: bool = False,
-              sign: int = 1) -> QMatrix:
-    """sign * M X, or with ``left`` sign * X^{-1} M, for X = 1, j or D.
-
-    D = diag((-1)^(s-1-k)) is its own inverse: it flips every other column
-    (right) or row (left), counted from the last.  j^{-1} = -j, and M j and
-    -j M act on each entry alone: z j = (0, 0, re z, im z) and
-    -j z = (0, 0, -re z, im z).  Works on M's integer form, entry by entry.
-    """
-    d, rows = m._ints
-    last = m.n_rows - 1
-    out = []
-    for r, row in enumerate(rows):
-        out_row = []
-        for c, z in enumerate(row):
-            if z is None:
-                out_row.append(None)
-                continue
-            re, im = z[0], z[1]
-            if (sign < 0) != (mod == _D and (last - (r if left else c)) % 2):
-                re, im = -re, -im
-            out_row.append((0, 0, -re if left else re, im) if mod == _J
-                           else (re, im, 0, 0))
-        out.append(out_row)
-    return QMatrix._of_ints(d, out)
-
-
 _BLOCK_MEMO = 256
 
 
 @functools.lru_cache(maxsize=_BLOCK_MEMO)
 def _block(lam: GaussianRational, s: int, mod: str, left: bool,
            sign: int) -> QMatrix:
-    """The finished block ``_modified(block_reverser(lam, s), mod, left,
-    sign)``, memoized.
+    """The block Omega(lam) (sign X), or with ``left`` (sign X^{-1})
+    Omega(lam), for the size-s diagonal modifier X = 1, j or D, memoized.
 
-    Key: (lam, s, mod, left, sign), all hashable values.  Bound:
-    ``_BLOCK_MEMO`` least recently used entries, so the memo holds at most
-    ``_BLOCK_MEMO`` times the largest block built (a size-s block has
-    s(s+1)/2 nonzero entries over one denominator).  Sharing one block
-    between certificates is safe because matrices are immutable: placement
-    copies its integer form into a new matrix.  Only construction is
-    memoized; every check of a certificate built from it runs afresh.
+    D = diag((-1)^(s-1-k)) is its own inverse and j^{-1} = -j; the block is
+    one integer product (a plain block of sign +1 is Omega itself).  Key:
+    (lam, s, mod, left, sign), all hashable values.  Bound: ``_BLOCK_MEMO``
+    least recently used entries, so the memo holds at most ``_BLOCK_MEMO``
+    times the largest block built (a size-s block has s(s+1)/2 nonzero
+    entries over one denominator).  Sharing one block between certificates
+    is safe because matrices are immutable: placement copies its integer
+    form into a new matrix.  Only construction is memoized; every check of
+    a certificate built from it runs afresh.
     """
-    return _modified(block_reverser(lam, s), mod, left=left, sign=sign)
+    omega = block_reverser(lam, s).to_quaternion()
+    if mod == _PLAIN and sign > 0:
+        return omega
+    rows = [[None] * s for _ in range(s)]
+    for k in range(s):
+        c = -sign if mod == _D and (s - 1 - k) % 2 else sign
+        rows[k][k] = (0, 0, -c if left else c, 0) if mod == _J else (c, 0, 0, 0)
+    x = QMatrix._of_ints(1, rows)
+    return x * omega if left else omega * x
 
 
 def _place(a: QMatrix, target: str, flavor: str, blocks) -> Certificate:

@@ -15,13 +15,13 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RATIONAL_RE = _re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_RATIONAL_RE = _re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def rational_ints(text: str) -> tuple[int, int]:
     """The integers (p, q), q > 0, of the wire form "p/q" or "p" (q = 1),
-    as written: not reduced."""
-    m = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    as written: not reduced.  ASCII digits only, nothing around them."""
+    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     p, q = m.groups()

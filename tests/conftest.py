@@ -17,12 +17,13 @@ from quatrev.numeric import (_NO_PAIRING, _ROUNDS_TO_ZERO, ClassSnap,
                              NumericConfig, SnapReport, _radius_ladder,
                              phi_embed_float, qmatrix_to_float,
                              weyr_structure_numeric)
-from quatrev.reversers import (_KINDS, _PLAIN, _J, _J_IF_CONJ,
+from quatrev.reversers import (_KINDS, _D, _PLAIN, _J, _J_IF_CONJ,
                                FLAVOR_INVOLUTION, FLAVOR_SKEW,
                                TARGET_INVERSE, TARGET_NEG_INVERSE,
-                               VerifyReport, _modified, block_reverser)
-from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, Q_ZERO, GaussianRational,
-                            Quaternion, class_rep_inverse, gr)
+                               VerifyReport, block_reverser)
+from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, Q_J, Q_ONE, Q_ZERO,
+                            GaussianRational, Quaternion, class_rep_inverse,
+                            gr)
 
 # eigenvalue pool used by the sweep: real reciprocal pairs, units, and a
 # non-unit complex value whose inverse-class partner is in the pool too
@@ -99,6 +100,21 @@ def naive_mul(x, y):
             out_row.append(acc)
         out.append(out_row)
     return type(x)(out)
+
+
+def naive_modified(m, mod, left=False, sign=1):
+    """The entries of sign * M X or sign * X^-1 M by the Fraction product,
+    X = 1, j or D (j^-1 = -j, D^-1 = D); oracle for ``reversers._block``."""
+    n = m.n_rows
+    x = {_PLAIN: [Q_ONE] * n, _J: [Q_J] * n,
+         _D: [Q_ONE if (n - 1 - k) % 2 == 0 else -Q_ONE for k in range(n)]}
+    diag = x[mod]
+    if left and mod == _J:
+        diag = [-q for q in diag]
+    xm = QMatrix.diagonal(diag)
+    mq = QMatrix([[z.to_quaternion() for z in row] for row in m.entries])
+    out = naive_mul(xm, mq) if left else naive_mul(mq, xm)
+    return [[q if sign > 0 else -q for q in row] for row in out.entries]
 
 
 def naive_check(g: QMatrix, a: QMatrix, target: str,
@@ -288,8 +304,9 @@ _NAIVE_PAIRING = {(TARGET_INVERSE, FLAVOR_INVOLUTION): involution_pairing,
 
 def naive_place(spec: JordanSpec, target: str, flavor: str) -> QMatrix:
     """g for a spec and a constructible kind, every block built afresh
-    (``block_reverser``, then ``_modified``, then ``place_blocks``) with no
-    memo; oracle for the blocks ``assemble_reverser`` reads from ``_block``.
+    (``block_reverser``, then ``naive_modified``, then ``place_blocks``)
+    with no memo; oracle for the blocks ``assemble_reverser`` reads from
+    ``_block``.
     """
     pairing = _NAIVE_PAIRING[(target, flavor)](spec)[0]
     single_mod, pair_mod = _KINDS[(target, flavor)][:2]
@@ -298,19 +315,19 @@ def naive_place(spec: JordanSpec, target: str, flavor: str) -> QMatrix:
     placements = []
     for i in pairing.singletons:
         lam, s = spec.blocks[i]
-        placements.append((offs[i], offs[i],
-                           _modified(block_reverser(lam, s), single_mod)))
+        placements.append((offs[i], offs[i], QMatrix(
+            naive_modified(block_reverser(lam, s), single_mod))))
     for ia, ib in pairing.pairs:
         (lam1, s), (lam2, _) = spec.blocks[ia], spec.blocks[ib]
         lam1_inv = lam1.inverse()
         mod = pair_mod
         if mod == _J_IF_CONJ:
             mod = _PLAIN if lam2 == lam1_inv else _J
-        placements.append((offs[ia], offs[ib],
-                           _modified(block_reverser(lam1, s), mod)))
-        placements.append((offs[ib], offs[ia],
-                           _modified(block_reverser(lam1_inv, s), mod,
-                                     left=True, sign=sign)))
+        placements.append((offs[ia], offs[ib], QMatrix(
+            naive_modified(block_reverser(lam1, s), mod))))
+        placements.append((offs[ib], offs[ia], QMatrix(
+            naive_modified(block_reverser(lam1_inv, s), mod, left=True,
+                           sign=sign))))
     return place_blocks(spec.total_size, placements)
 
 

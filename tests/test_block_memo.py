@@ -75,7 +75,7 @@ def test_cached_block_rejects_attribute_writes():
     blk = _block(gr(2), 3, _PLAIN, False, 1)
     assert _block(gr(2), 3, _PLAIN, False, 1) is blk
     before = blk._ints
-    for name in ("_ints", "_entries", "n_rows", "n_cols", "extra"):
+    for name in ("_ints", "n_rows", "n_cols", "extra"):
         with pytest.raises(AttributeError):
             setattr(blk, name, None)
         with pytest.raises(AttributeError):

@@ -637,3 +637,25 @@ def test_decompose_jordan_checks_its_certificate_once(monkeypatch):
         code, _, _ = run("decompose", "--jordan", *argv)
         assert code == EXIT_OK
         assert len(calls) == 1
+
+
+def test_json_rational_takes_ascii_digits_only():
+    """A rational in JSON is ASCII digits with nothing around them, so one
+    certificate text decodes to one g: an Arabic-Indic digit, spaces, or a
+    non-ASCII digit in a denominator exit 2 with one line."""
+    matrix, doc = _certified_pair()
+    for text in ("٣", " +7 ", "1/1٣"):
+        entries = json.loads(json.dumps(matrix["entries"]))
+        entries[0][0][0] = text
+        bad_g = dict(doc, g=dict(doc["g"], entries=entries))
+        spec = {"blocks": [{"re": text, "im": "0", "size": 1}]}
+        for argv in (("verify", "--matrix",
+                      json.dumps(dict(matrix, entries=entries)),
+                      "--cert", json.dumps(doc)),
+                     ("verify", "--matrix", json.dumps(matrix),
+                      "--cert", json.dumps(bad_g)),
+                     ("classify", "--jordan", json.dumps(spec))):
+            code, out, err = run(*argv)
+            assert code == EXIT_PARSE, (text, argv[:2])
+            assert out == "" and err.startswith("error: ")
+            _one_line_error(err)

@@ -9,7 +9,10 @@ flavor) kind, as ``certify`` writes them, the same pairs conjugated to
 dense S^{-1} A S, S^{-1} g S by a fixed random S with j and k parts, a
 skew certificate relabelled "general", that one and an involution
 certificate each with a tampered entry, a ``decompose`` given both input
-modes, and
+modes, ``classify --jordan`` on compact specs (the README example with its
+witness text, an irreversible block) and on malformed ones (spec JSON
+without "im", a block without a comma, a bad eigenvalue), ``weyr`` on a
+partition in both spellings, and
 float matrices for ``classify --matrix`` (dense conjugates that snap with a
 size-2 block, fail on the 1+i, (1+i)/2 pair with exit 3, or keep unsnapped
 classes, and 1x1 inputs whose class lies within unit_tol of 0).

@@ -1,12 +1,12 @@
 """Matrices born in their stored integer form against Fraction oracles.
 
 Jordan matrices, block and Weyr reversers, modified blocks, placed blocks,
-products, sums, differences, negations, transposes and complex conjugates
-are made in the integer form ``(d, rows)`` and make their entries only when
-read.  Each one's entries equal those of an oracle computed scalar by
-scalar, and its stored form, equality and hash agree with the matrix built
-from the oracle's entries.  The operations mix born operands with operands
-built from entries, whose form is made at construction.
+products, sums, differences, negations, transposes, complex conjugates and
+inverses are made in the integer form ``(d, rows)`` and make their entries
+from it on each read.  Each one's entries equal those of an oracle computed
+scalar by scalar, and its stored form, equality and hash agree with the
+matrix built from the oracle's entries.  The operations mix born operands
+with operands built from entries, whose form is made at construction.
 """
 import itertools
 import math
@@ -16,13 +16,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import EIG_POOL, naive_block_reverser, naive_mul
+from conftest import (EIG_POOL, naive_block_reverser, naive_inverse,
+                      naive_modified, naive_mul, rand_invertible)
+from quatrev import matrix
 from quatrev.canonical import JordanSpec, jordan_block, jordan_matrix
 from quatrev.matrix import CMatrix, QMatrix, place_blocks
 from quatrev.partitions import Partition
-from quatrev.reversers import (_D, _J, _PLAIN, _modified, block_reverser,
+from quatrev.reversers import (_D, _J, _PLAIN, _block, block_reverser,
                                weyr_reverser)
-from quatrev.scalar import (GR_ZERO, Q_J, Q_ONE, Q_ZERO, GaussianRational,
+from quatrev.scalar import (GR_ZERO, Q_ONE, Q_ZERO, GaussianRational,
                             Quaternion, gr)
 
 # eigenvalues: the sweep's pool and a few with larger, mixed denominators
@@ -80,21 +82,6 @@ def _naive_weyr(alpha, p):
     return grid
 
 
-def _naive_modified(m, mod, left, sign):
-    """sign * M X or sign * X^-1 M by the Fraction product, X = 1, j or D
-    (j^-1 = -j, D^-1 = D)."""
-    n = m.n_rows
-    x = {_PLAIN: [Q_ONE] * n, _J: [Q_J] * n,
-         _D: [Q_ONE if (n - 1 - k) % 2 == 0 else -Q_ONE for k in range(n)]}
-    diag = x[mod]
-    if left and mod == _J:
-        diag = [-q for q in diag]
-    xm = QMatrix.diagonal(diag)
-    mq = QMatrix([[z.to_quaternion() for z in row] for row in m.entries])
-    out = naive_mul(xm, mq) if left else naive_mul(mq, xm)
-    return [[q if sign > 0 else -q for q in row] for row in out.entries]
-
-
 def _born(rng, kind, n, dens):
     """An n x n matrix of the given kind, born in its integer form, and the
     entries of its Fraction oracle."""
@@ -113,10 +100,11 @@ def _born(rng, kind, n, dens):
         p = Partition.of(sorted(_composition(rng, n), reverse=True))
         return weyr_reverser(alpha, p), _naive_weyr(alpha, p)
     if kind == "modified":
-        omega = block_reverser(rng.choice(LAMBDAS), n)
+        lam = rng.choice(LAMBDAS)
         args = (rng.choice([_PLAIN, _J, _D]), rng.random() < 0.5,
                 rng.choice([1, -1]))
-        return _modified(omega, *args), _naive_modified(omega, *args)
+        return (_block.__wrapped__(lam, n, *args),
+                naive_modified(block_reverser(lam, n), *args))
     # placed: diagonal blocks, born or built, and one off-diagonal block
     sizes = _composition(rng, n)
     offs = [sum(sizes[:i]) for i in range(len(sizes))]
@@ -203,10 +191,30 @@ def test_born_matrices_match_fraction_oracles(seed, n, kind, denoms,
 
 
 def test_modified_matches_fraction_product_for_every_modifier():
+    """Every (modifier, side, sign) block, built unmemoized, against the
+    Fraction product of Omega and the modifier."""
     for mod, left, sign in itertools.product([_PLAIN, _J, _D], [False, True],
                                              [1, -1]):
         for lam in LAMBDAS:
             for n in (1, 2, 5):
-                omega = block_reverser(lam, n)
-                _assert_is(_modified(omega, mod, left, sign),
-                           _naive_modified(omega, mod, left, sign))
+                _assert_is(_block.__wrapped__(lam, n, mod, left, sign),
+                           naive_modified(block_reverser(lam, n), mod, left,
+                                          sign))
+
+
+def test_inverse_is_born_without_a_fraction(monkeypatch):
+    """``inverse`` writes its integer form straight from the elimination:
+    it makes no Fraction, and its entries, read afterwards, are those of the
+    Fraction Gauss-Jordan oracle."""
+    def no_fraction(*args):
+        raise AssertionError("inverse made a Fraction")
+    rng = random.Random("quatrev:inverse-born")
+    for n in (1, 2, 4):
+        lam = rng.choice(LAMBDAS)
+        for m in (rand_invertible(rng, n), block_reverser(lam, n),
+                  jordan_block(lam, n), _random(rng, QMatrix, n, n,
+                                                DENOMS["2^60"], 1.0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(matrix, "Fraction", no_fraction)
+                inv = m.inverse()
+            _assert_is(inv, naive_inverse(m).entries)

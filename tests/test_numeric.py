@@ -1,4 +1,6 @@
 """Float pipeline: eigenvalue clustering, rank profiles, spec recovery."""
+import cmath
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from conftest import (EIG_POOL, RECOVERY_CONFIGS, RECOVERY_POOL,
 from quatrev.canonical import JordanSpec, jordan_matrix
 from quatrev.errors import (PairingError, QuatrevError, RankProfileError,
                             SingularError)
-from quatrev.numeric import (NumericConfig, classify_numeric,
+from quatrev.numeric import (NumericConfig, classify_approximate,
+                             classify_numeric,
                              float_matrix_from_json, float_matrix_to_json,
                              jordan_spec_numeric, phi_eigenvalues,
                              phi_embed_float, qmatrix_to_float,
@@ -138,6 +141,17 @@ def test_classify_numeric_approximate_path():
     assert out["classification"]["approximate"] is True
     # reciprocal pair at tolerance: advisory reversible
     assert out["classification"]["reversible"] is True
+
+
+@pytest.mark.parametrize("theta,gap", [(0.9, 2e-9), (0.5000043, 5e-9)])
+def test_approximate_counts_unit_classes_as_it_pairs_them(theta, gap):
+    """Two non-real unit classes within unit_tol are one class of two
+    blocks, whichever side of a rounding boundary they fall: an even count,
+    so strongly reversible."""
+    blocks = [(cmath.exp(1j * theta), 1), (cmath.exp(1j * (theta + gap)), 1)]
+    out = classify_approximate(blocks)
+    assert out["reversible"] is True
+    assert out["strongly_reversible"] is True
 
 
 def test_tolerances_are_overridable():
