@@ -70,10 +70,14 @@ class JordanSpec:
 
     @classmethod
     def from_json(cls, obj) -> "JordanSpec":
-        if not isinstance(obj, dict) or "blocks" not in obj:
+        items = obj.get("blocks") if isinstance(obj, dict) else None
+        if not isinstance(items, list):
             raise ValueError("not a Jordan spec object")
         blocks = []
-        for item in obj["blocks"]:
+        for k, item in enumerate(items):
+            if not (isinstance(item, dict)
+                    and {"re", "im", "size"} <= item.keys()):
+                raise ValueError(f'spec block {k} needs "re", "im" and "size"')
             lam = GaussianRational.from_json({"re": item["re"], "im": item["im"]})
             blocks.append((lam, item["size"]))
         return cls.of(blocks)

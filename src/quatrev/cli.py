@@ -2,9 +2,12 @@
 
 Subcommands: classify, certify, verify, decompose, omega, weyr.  Inputs are
 JSON files ("-" for stdin), inline JSON, or compact literals for specs and
-scalars.  Exit codes: 0 success, 2 parse error, 3 numeric recovery failure,
-4 not constructible, 5 failed verification.  numpy is imported only by
-``classify --matrix``, the one subcommand that runs the float front end.
+scalars, whose integers are ASCII digits.  Each ``cmd_*`` returns its exit
+code and JSON document for ``main`` to write; ``decompose`` factors through
+``factorize`` in both modes.  Exit codes: 0 success, 2 parse error,
+3 numeric recovery failure, 4 not constructible, 5 failed verification.
+numpy is imported only by ``classify --matrix``, the one subcommand that
+runs the float front end.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import sys
 
 from .canonical import JordanSpec, jordan_matrix
 from .classify import classify_psl
-from .decompose import _split, factorize, verify_certificate
+from .decompose import factorize, verify_certificate
 from .errors import (CertificateError, FlavorError, NotConstructible,
                      PairingError, QuatrevError, RankProfileError,
                      SingularError)
@@ -25,7 +28,8 @@ from .partitions import parse_partition, weyr_structure_of
 from .reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
                         TARGET_NEG_INVERSE, assemble_reverser, block_reverser,
                         Certificate)
-from .scalar import GaussianRational, parse_complex, parse_rational
+from .scalar import (GaussianRational, parse_complex, parse_integer,
+                     parse_rational)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,7 +72,7 @@ def _parse_spec(arg: str) -> JordanSpec:
     if text.startswith("{"):
         try:
             return JordanSpec.from_json(json.loads(text))
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:  # json.JSONDecodeError included
             raise _CliParseError(f"bad spec JSON: {exc}") from exc
     body = text
     if body.startswith("[") and body.endswith("]"):
@@ -79,11 +83,9 @@ def _parse_spec(arg: str) -> JordanSpec:
     blocks = []
     for match in _COMPACT_BLOCK.finditer(body):
         item = match.group(1)
-        head, sep, tail = item.rpartition(",")
-        if not sep:
-            raise _CliParseError(f"bad block literal: ({item})")
         try:
-            blocks.append((parse_complex(head), int(tail.strip())))
+            head, tail = item.rsplit(",", 1)  # no comma: a ValueError
+            blocks.append((parse_complex(head), parse_integer(tail.strip())))
         except ValueError as exc:
             raise _CliParseError(f"bad block literal: ({item})") from exc
     if not blocks:
@@ -127,15 +129,21 @@ def _tolerance(text: str) -> float:
         f"expected a finite number >= 0, got {text!r}")
 
 
-def cmd_classify(args) -> int:
+def _integer(text: str) -> int:
+    """An integer flag's value, read as ``scalar.parse_integer`` reads it."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def cmd_classify(args) -> tuple[int, dict]:
     if (args.jordan is None) == (args.matrix is None):
         raise _CliParseError("classify needs exactly one of --jordan/--matrix")
     if args.jordan is not None:
         spec = _parse_spec(args.jordan)
-        out = {"spec": spec.to_json(),
-               "classification": classify_psl(spec).to_json()}
-        _emit(out, args.out)
-        return EXIT_OK
+        return EXIT_OK, {"spec": spec.to_json(),
+                         "classification": classify_psl(spec).to_json()}
     import numpy as np
     from .numeric import (NumericConfig, classify_numeric,
                           float_matrix_from_json)
@@ -153,18 +161,16 @@ def cmd_classify(args) -> int:
             out = classify_numeric(f, config)
     except np.linalg.LinAlgError as exc:
         raise RankProfileError(str(exc)) from exc
-    _emit(out, args.out)
-    return EXIT_OK
+    return EXIT_OK, out
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[int, dict]:
     spec = _parse_spec(args.jordan)
     cert = assemble_reverser(spec, target=args.target, flavor=args.flavor)
     out = cert.to_json()
     if args.emit_matrix:
         out["matrix"] = jordan_matrix(spec).to_json()
-    _emit(out, args.out)
-    return EXIT_OK
+    return EXIT_OK, out
 
 
 def _load_matrix_and_cert(args) -> tuple[QMatrix, Certificate]:
@@ -175,44 +181,38 @@ def _load_matrix_and_cert(args) -> tuple[QMatrix, Certificate]:
         raise _CliParseError(str(exc)) from exc
 
 
-def cmd_verify(args) -> int:
-    a, cert = _load_matrix_and_cert(args)
-    report = verify_certificate(a, cert)
-    _emit(report.to_json(), args.out)
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+def cmd_verify(args) -> tuple[int, dict]:
+    report = verify_certificate(*_load_matrix_and_cert(args))
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED, report.to_json()
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[int, dict]:
     if args.jordan is not None and (args.matrix, args.cert) == (None, None):
         spec = _parse_spec(args.jordan)
-        factors = _split(jordan_matrix(spec), assemble_reverser(
-            spec, target=args.target or TARGET_INVERSE,
-            flavor=args.flavor or "any"))
+        a = jordan_matrix(spec)
+        cert = assemble_reverser(spec, target=args.target or TARGET_INVERSE,
+                                 flavor=args.flavor or "any")
     elif (args.jordan is None and None not in (args.matrix, args.cert)
           and (args.target, args.flavor) == (None, None)):
-        factors = factorize(*_load_matrix_and_cert(args))
+        a, cert = _load_matrix_and_cert(args)
     else:
         raise _CliParseError(
             "decompose needs either --jordan (with optional --target and "
             "--flavor) or both --matrix and --cert")
-    _emit(factors.to_json(), args.out)
-    return EXIT_OK
+    return EXIT_OK, factorize(a, cert).to_json()
 
 
-def cmd_omega(args) -> int:
-    lam = _parse_scalar(args.lam)
-    if lam.is_zero:
-        raise _CliParseError("eigenvalue must be nonzero")
-    mat = block_reverser(lam, args.n).to_quaternion()
-    _emit(mat.to_json(), args.out)
-    return EXIT_OK
+def cmd_omega(args) -> tuple[int, dict]:
+    # a zero eigenvalue or size is block_reverser's DomainError: exit 2
+    mat = block_reverser(_parse_scalar(args.lam), args.n).to_quaternion()
+    return EXIT_OK, mat.to_json()
 
 
-def cmd_weyr(args) -> int:
+def cmd_weyr(args) -> tuple[int, dict]:
     p = parse_partition(args.partition)  # a SpecError exits 2
-    _emit({"partition": list(p.parts), "conjugate": list(p.conjugate().parts),
-           "weyr_structure": list(weyr_structure_of(p).sizes)}, args.out)
-    return EXIT_OK
+    return EXIT_OK, {"partition": list(p.parts),
+                     "conjugate": list(p.conjugate().parts),
+                     "weyr_structure": list(weyr_structure_of(p).sizes)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "reverser for one eigenvalue")
     p.add_argument("--lambda", dest="lam", required=True,
                    help='complex eigenvalue, e.g. "2,0", "3/5+4/5i" or -1/2')
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     common(p)
     p.set_defaults(fn=cmd_omega)
 
@@ -322,7 +322,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(
         _attach_lambda(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        code, doc = args.fn(args)
+        _emit(doc, args.out)
+        return code
     except tuple(t for types, _, _ in _FAILURES for t in types) as exc:
         prefix, code = next((prefix, code) for types, prefix, code
                             in _FAILURES if isinstance(exc, types))

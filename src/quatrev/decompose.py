@@ -6,11 +6,11 @@ g^2 = -I it gives A = (-g)(gA) and (gA)^2 = g^2 = -I; and A h A = -h with
 h^2 = I gives A = (Ah) h and (Ah)^2 = (AhA) h = -I.  That one check stands
 for the factor squares and the product.  Each split is read from the kind
 table in ``reversers``; other kinds ("general", or a skew-involution for
-the negated inverse) give no factorization.  ``factorize`` first makes the
-check ``verify_certificate`` makes, for every kind, and keeps the first
-product of the residual, g A for the inverse (A (g A)) and A g for the
-negated inverse ((A g) A): that is the factor gA or Ah, so the split
-multiplies nothing.
+the negated inverse) give no factorization.  ``factorize``, the one place
+a certificate is split, makes the check ``verify_certificate`` makes, for
+every kind, and keeps the first product of the residual, g A for the
+inverse (A (g A)) and A g for the negated inverse ((A g) A): that is the
+factor gA or Ah, so the split multiplies nothing.
 """
 from __future__ import annotations
 
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, FlavorError
 from .matrix import QMatrix
-from .reversers import (_KINDS, _RESIDUAL_SIGN, Certificate, FLAVOR_GENERAL,
-                        FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
-                        TARGET_NEG_INVERSE, VerifyReport, _kind_checks,
-                        check_certificate)
+from .reversers import (_KINDS, Certificate, FLAVOR_GENERAL, FLAVOR_INVOLUTION,
+                        FLAVOR_SKEW, TARGET_INVERSE, TARGET_NEG_INVERSE,
+                        VerifyReport, _kind_checks, check_certificate)
 
 
 @dataclass(frozen=True)
@@ -60,12 +59,6 @@ def factorize(a: QMatrix, cert: Certificate) -> Factorization:
     checks, first = _kind_checks(cert.g, a, cert.target, cert.flavor)
     if not all(checks):
         raise CertificateError("certificate failed verification")
-    return _split(a, cert, QMatrix._of_ints(*first))
-
-
-def _split(a: QMatrix, cert: Certificate, first=None) -> Factorization:
-    """A = s1 s2 from a certificate already checked against A; ``first`` is
-    the residual's first product, formed here if not given."""
     kind = _KINDS.get((cert.target, cert.flavor))
     if kind is None:
         raise FlavorError(
@@ -73,10 +66,8 @@ def _split(a: QMatrix, cert: Certificate, first=None) -> Factorization:
             "involution or skew-involution certificate"
             if cert.flavor == FLAVOR_GENERAL
             else "need an involution certificate for the negated inverse")
-    factors, s1_square, s2_square = kind[2:]
-    if first is None:
-        first = cert.g * a if _RESIDUAL_SIGN[cert.target] > 0 else a * cert.g
-    return Factorization(*factors(cert.g, first), s1_square, s2_square)
+    factors, *squares = kind[2:]
+    return Factorization(*factors(cert.g, QMatrix._of_ints(*first)), *squares)
 
 
 def _of_kind(a: QMatrix, cert: Certificate, target: str, flavor: str,

@@ -8,11 +8,11 @@ parts.
 """
 from __future__ import annotations
 
-import re as _re
 from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import SpecError
+from .scalar import parse_integer
 
 
 @dataclass(frozen=True)
@@ -85,24 +85,17 @@ def weyr_structure_of(p: Partition) -> WeyrStructure:
     return WeyrStructure(p.conjugate().parts)
 
 
-_EXP_ITEM = _re.compile(r"^(\d+)\^(\d+)$")
-
-
 def parse_partition(text: str) -> Partition:
-    """Parse "3,2,2" or the exponent form "[3^2,1^1]"."""
+    """Parse "3,2,2" or "[3^2,1^1]"; a number ``parse_integer`` refuses, or
+    an item that is not one "d^t", makes the literal bad."""
     s = text.strip().replace(" ", "")
     if not s:
         raise SpecError("empty partition")
-    if s.startswith("[") and s.endswith("]"):
-        pairs = []
-        for item in s[1:-1].split(","):
-            m = _EXP_ITEM.match(item)
-            if not m:
-                raise SpecError(f"bad exponent item: {item!r}")
-            pairs.append((int(m.group(1)), int(m.group(2))))
-        return Partition.from_exponents(pairs)
     try:
-        parts = [int(x) for x in s.split(",")]
+        if s.startswith("[") and s.endswith("]"):
+            items = [item.split("^") for item in s[1:-1].split(",")]
+            return Partition.from_exponents(
+                (parse_integer(d), parse_integer(t)) for d, t in items)
+        return Partition.of([parse_integer(x) for x in s.split(",")])
     except ValueError as exc:
         raise SpecError(f"bad partition literal: {text!r}") from exc
-    return Partition.of(parts)

@@ -15,7 +15,15 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RATIONAL_RE = _re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
+_INTEGER_RE = _re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = _re.compile(rf"({_INTEGER_RE.pattern})(?:/([1-9][0-9]*))?")
+
+
+def parse_integer(text: str) -> int:
+    """ASCII digits after an optional sign, nothing around them."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def rational_ints(text: str) -> tuple[int, int]:

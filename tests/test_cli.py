@@ -1,4 +1,5 @@
 """End-to-end command-line coverage: subcommands, exit codes, file I/O."""
+import ast
 import contextlib
 import io
 import json
@@ -8,9 +9,11 @@ import re
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatrev.canonical import JordanSpec, jordan_matrix
+from quatrev import cli
 from quatrev.cli import (EXIT_NOT_CONSTRUCTIBLE, EXIT_NUMERIC, EXIT_OK,
                          EXIT_PARSE, EXIT_VERIFY_FAILED, main)
 from quatrev.numeric import float_matrix_to_json, qmatrix_to_float
@@ -616,27 +619,30 @@ def test_cli_hostile_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
     check()
 
 
-def test_decompose_jordan_checks_its_certificate_once(monkeypatch):
-    """``assemble_reverser`` has checked g against J, so the split reuses
-    that check; only a given certificate is checked by ``factorize``."""
-    import quatrev.decompose
-    import quatrev.reversers
-    calls = []
-    check = quatrev.reversers.check_certificate
+@pytest.mark.parametrize("argv", [
+    ("[(1,2),(-1,1)]", "--flavor", "involution"),
+    ("[(2,1),(1/2,1)]", "--flavor", "skew-involution"),
+    ("[(i,2)]", "--target", "neg-inverse")])
+def test_decompose_jordan_is_decompose_of_its_certificate(argv):
+    """``decompose --jordan`` prints what ``decompose --matrix A --cert C``
+    prints for the A and C that ``certify --emit-matrix`` writes: both
+    modes factor through ``factorize``, one kind each."""
+    code, out, _ = run("certify", "--jordan", *argv, "--emit-matrix")
+    assert code == EXIT_OK
+    cert = json.loads(out)
+    given = run("decompose", "--matrix", json.dumps(cert.pop("matrix")),
+                "--cert", json.dumps(cert))
+    assert run("decompose", "--jordan", *argv) == given
+    assert given[0] == EXIT_OK and given[2] == ""
 
-    def counting(*args):
-        calls.append(args[2:])
-        return check(*args)
 
-    monkeypatch.setattr(quatrev.reversers, "check_certificate", counting)
-    monkeypatch.setattr(quatrev.decompose, "check_certificate", counting)
-    for argv in (["[(1,2),(-1,1)]", "--flavor", "involution"],
-                 ["[(2,1),(1/2,1)]", "--flavor", "skew-involution"],
-                 ["[(i,2)]", "--target", "neg-inverse"]):
-        calls.clear()
-        code, _, _ = run("decompose", "--jordan", *argv)
-        assert code == EXIT_OK
-        assert len(calls) == 1
+def test_cli_imports_no_private_name_from_the_package():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (
+                   node.level or node.module.split(".")[0] == "quatrev")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_json_rational_takes_ascii_digits_only():

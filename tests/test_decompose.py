@@ -6,8 +6,8 @@ import pathlib
 import pytest
 
 from quatrev.canonical import JordanSpec, jordan_matrix
-from quatrev.decompose import (Factorization, VerifyReport, _split,
-                               factorize, product_involution_skew,
+from quatrev.decompose import (Factorization, VerifyReport, factorize,
+                               product_involution_skew,
                                product_two_involutions,
                                product_two_skew_involutions,
                                verify_certificate)
@@ -158,12 +158,17 @@ def test_factorize_agrees_with_verify_for_every_kind(source, target, flavor,
 
 
 def test_factorize_keeps_the_checked_product():
-    # the factor factorize keeps from its check is the product _split forms
-    for blocks, kw in (([(gr(2), 2), (gr("1/2"), 2)], {}),
-                       ([(gr(0, 1), 3)], {"flavor": "skew-involution"}),
-                       ([(gr(0, 1), 3)], {"target": "neg-inverse"})):
+    # the factor other than +-g is the residual's first product, formed here:
+    # g A for the inverse, A g for the negated inverse
+    for blocks, kw, factors in (
+            ([(gr(2), 2), (gr("1/2"), 2)], {}, lambda g, a: (g, g * a)),
+            ([(gr(0, 1), 3)], {"flavor": "skew-involution"},
+             lambda g, a: (-g, g * a)),
+            ([(gr(0, 1), 3)], {"target": "neg-inverse"},
+             lambda g, a: (a * g, g))):
         a, cert = build(blocks, **kw)
-        assert factorize(a, cert) == _split(a, cert)
+        f = factorize(a, cert)
+        assert (f.s1, f.s2) == factors(cert.g, a)
 
 
 def test_factorize_rejects_sizes_and_names_as_verify_does():

@@ -11,8 +11,11 @@ skew certificate relabelled "general", that one and an involution
 certificate each with a tampered entry, a ``decompose`` given both input
 modes, ``classify --jordan`` on compact specs (the README example with its
 witness text, an irreversible block) and on malformed ones (spec JSON
-without "im", a block without a comma, a bad eigenvalue), ``weyr`` on a
-partition in both spellings, and
+without "im", with a block that is not an object or blocks that are not a
+list, a block without a comma, a bad eigenvalue, a size that is not ASCII
+digits), ``weyr`` on a partition in both spellings and on parts and
+exponents that are not ASCII digits, ``omega`` on such a ``--n`` (an
+argparse usage error, exit 2), and
 float matrices for ``classify --matrix`` (dense conjugates that snap with a
 size-2 block, fail on the 1+i, (1+i)/2 pair with exit 3, or keep unsnapped
 classes, and 1x1 inputs whose class lies within unit_tol of 0).
@@ -38,7 +41,10 @@ def run_case(case):
     argv = [a.replace("{inputs}", inputs) for a in case["argv"]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
     return code, out.getvalue(), err.getvalue().replace(inputs, "{inputs}")
 
 

@@ -11,7 +11,7 @@ from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, GaussianRational,
                             Q_I, Q_J, Q_K, Q_ONE, Quaternion, class_rep,
                             class_rep_inverse, class_rep_neg_inverse,
                             format_rational, gr, parse_complex,
-                            parse_rational, quat)
+                            parse_integer, parse_rational, quat)
 
 fractions_st = st.fractions(min_value=-1000, max_value=1000,
                             max_denominator=10**4)
@@ -68,6 +68,23 @@ def test_parse_rational_edge_literals():
     with pytest.raises(ValueError):
         Fraction("1" * 5000)
     assert parse_rational("+7") == 7
+
+
+def _integer_reference(text):
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.from_regex(r"[+-]?[0-9]+", fullmatch=True),
+    st.text(alphabet="0123456789\u0663+- \t\n_/", max_size=8),
+    st.sampled_from(["1_0", "\u0663", " 3", "3 ", "3\n", "3/1", "-0"])))
+def test_parse_integer_is_a_rationals_numerator(text):
+    """Block sizes, partition parts and exponents, and ``--n`` are read by
+    ``parse_integer``: a sign and ASCII digits, nothing else."""
+    assert _outcome(parse_integer, text) == _outcome(_integer_reference, text)
 
 
 def test_parse_complex_forms():
