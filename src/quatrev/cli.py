@@ -2,12 +2,14 @@
 
 Subcommands: classify, certify, verify, decompose, omega, weyr.  Inputs are
 JSON files ("-" for stdin), inline JSON, or compact literals for specs and
-scalars, whose integers are ASCII digits.  Each ``cmd_*`` returns its exit
-code and JSON document for ``main`` to write; ``decompose`` factors through
-``factorize`` in both modes.  Exit codes: 0 success, 2 parse error,
-3 numeric recovery failure, 4 not constructible, 5 failed verification.
-numpy is imported only by ``classify --matrix``, the one subcommand that
-runs the float front end.
+scalars, each number matched whole by one ``scalar`` grammar (ASCII digits,
+whitespace only between tokens); tolerance flags are unsigned ASCII
+decimals and float-matrix entries JSON numbers.  Each ``cmd_*`` returns
+its exit code and JSON document for ``main`` to write; ``decompose``
+factors through ``factorize`` in both modes.  Exit codes: 0 success,
+2 parse error, 3 numeric recovery failure, 4 not constructible, 5 failed
+verification.  numpy is imported only by ``classify --matrix``, the one
+subcommand that runs the float front end.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from .partitions import parse_partition, weyr_structure_of
 from .reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
                         TARGET_NEG_INVERSE, assemble_reverser, block_reverser,
                         Certificate)
-from .scalar import (GaussianRational, parse_complex, parse_integer,
-                     parse_rational)
+from .scalar import (DECIMAL_RE, GaussianRational, parse_complex,
+                     parse_integer, parse_rational)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -97,10 +99,8 @@ def _parse_scalar(text: str):
     """Accept "re,im" rational pairs or compact complex literals."""
     try:
         if "," in text:
-            halves = ["".join(half.split()) for half in text.split(",", 1)]
-            if not all(halves):
-                raise ValueError("empty real or imaginary part")
-            return GaussianRational(*(parse_rational(h) for h in halves))
+            return GaussianRational(*(parse_rational(half.strip())
+                                      for half in text.split(",", 1)))
         return parse_complex(text)
     except ValueError as exc:
         raise _CliParseError(f"bad scalar literal {text!r}: {exc}") from exc
@@ -119,12 +119,10 @@ def _emit(obj, out_path):
 
 
 def _tolerance(text: str) -> float:
-    """A tolerance flag's value: a finite number, zero or more."""
-    try:
-        if 0 <= (value := float(text)) < math.inf:
-            return value
-    except ValueError:
-        pass
+    """A tolerance flag's value: an unsigned ASCII decimal (``DECIMAL_RE``,
+    matched whole) that is finite as a float."""
+    if DECIMAL_RE.fullmatch(text) and (value := float(text)) < math.inf:
+        return value
     raise argparse.ArgumentTypeError(
         f"expected a finite number >= 0, got {text!r}")
 

@@ -23,9 +23,11 @@ component) so that it equals the form of the same entries).  So is a
 decoded matrix: ``from_json`` reads each literal as the integers (p, q) it
 spells, unreduced ("2/4" stays (2, 4); the gcd reduction makes the form the
 same).  A matrix built from entries (the public constructor) gets its form
-at construction and keeps no entry.  The form is all a matrix holds: its
-scalar entries are made from it on each read (``entries``, ``entry``), one
-Fraction per nonzero component.  Matrices are immutable, so
+at construction and keeps no entry; it and ``from_json`` clear denominators
+through ``_cleared``, and each form is written by ``_Dense._store``.  The
+form is all a matrix holds: its scalar entries are made from it on each
+read (``entries``, ``entry``), one Fraction per nonzero component.
+Matrices are immutable, so
 the form depends only on the matrix, and equality and hashing compare it;
 every product and elimination of a check is still recomputed from it.  One
 routine, ``_product``, multiplies two forms in plain ints, as FLINT's
@@ -251,33 +253,26 @@ class _Dense:
     _sone = None
 
     def __init__(self, rows: Iterable[Iterable]):
-        entries = tuple(tuple(row) for row in rows)
-        if not entries or not entries[0]:
-            raise ShapeError("matrix must have at least one row and column")
-        width = len(entries[0])
-        if any(len(row) != width for row in entries):
-            raise ShapeError("ragged rows")
         z, parts = self._szero, self._parts
-        split = [[None if x is z else parts(x) for x in row]
-                 for row in entries]
-        d = math.lcm(*(f.denominator for row in split for c in row
-                       if c is not None for f in c))
-        ints = tuple(
-            tuple(None if c is None or not any(c) else
-                  tuple(f.numerator * (d // f.denominator) for f in c)
-                  for c in row)
-            for row in split)
-        object.__setattr__(self, "_ints", (d, ints))
-        object.__setattr__(self, "n_rows", len(entries))
-        object.__setattr__(self, "n_cols", width)
+        self._store(*_cleared([
+            [None if x is z else [(f.numerator, f.denominator)
+                                  for f in parts(x)] for x in row]
+            for row in rows]))
+
+    def _store(self, d, rows):
+        """Write the stored form (d, rows) and the shape: the one place a
+        matrix gets them, and the one check that it is not empty."""
+        if not rows or not rows[0]:
+            raise ShapeError("matrix must have at least one row and column")
+        object.__setattr__(self, "_ints", (d, tuple(map(tuple, rows))))
+        object.__setattr__(self, "n_rows", len(rows))
+        object.__setattr__(self, "n_cols", len(rows[0]))
 
     @classmethod
     def _of_ints(cls, d, rows):
         """The matrix rows/d, for an int d > 0 and rows of integer 4-tuples
         (None for zero), born in its stored form: d and every component
         divided by their gcd, rows made tuples.  No entry is made."""
-        if not rows or not rows[0]:
-            raise ShapeError("matrix must have at least one row and column")
         g = (math.gcd(d, *(c for row in rows for e in row if e for c in e))
              if d > 1 else 1)
         if g > 1:
@@ -285,9 +280,7 @@ class _Dense:
             rows = [[e and (e[0] // g, e[1] // g, e[2] // g, e[3] // g)
                      for e in row] for row in rows]
         m = object.__new__(cls)
-        object.__setattr__(m, "_ints", (d, tuple(map(tuple, rows))))
-        object.__setattr__(m, "n_rows", len(rows))
-        object.__setattr__(m, "n_cols", len(rows[0]))
+        m._store(d, rows)
         return m
 
     @property
@@ -486,17 +479,22 @@ class QMatrix(_Dense):
         if not all(isinstance(obj[k], int) and not isinstance(obj[k], bool)
                    for k in ("n", "m")):
             raise ValueError("matrix dimensions must be integers")
-        parsed = [[quaternion_ints(x) for x in row] for row in entries]
-        if not parsed or not parsed[0]:
-            raise ShapeError("matrix must have at least one row and column")
-        if any(len(row) != len(parsed[0]) for row in parsed):
-            raise ShapeError("ragged rows")
-        d = math.lcm(*{q for row in parsed for e in row for p, q in e if p})
-        mat = cls._of_ints(d, [tuple(_over(e, d) for e in row)
-                               for row in parsed])
+        mat = cls._of_ints(*_cleared(
+            [[quaternion_ints(x) for x in row] for row in entries]))
         if (mat.n_rows, mat.n_cols) != (obj["n"], obj["m"]):
             raise ValueError("matrix dimensions disagree with entries")
         return mat
+
+
+def _cleared(rows):
+    """(d, integer rows) for rows whose entries are None (zero) or four
+    (p, q) pairs, q > 0: d the lcm of every q with p nonzero, each entry as
+    ``_over`` writes it.  Ragged rows are refused here; an empty matrix is
+    refused where the form is written (``_Dense._store``)."""
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ShapeError("ragged rows")
+    d = math.lcm(*{q for row in rows for e in row if e for p, q in e if p})
+    return d, [[e and _over(e, d) for e in row] for row in rows]
 
 
 def _over(comps, d):

@@ -76,6 +76,10 @@ def float_matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"float matrix fields must be numbers: {exc}") from exc
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 4:
         raise ValueError("float matrix entries must form an n x n x 4 array")
+    # numpy reads "1_0", " 2 " and true as floats too
+    kinds = {type(x) for row in obj["entries"] for e in row for x in e}
+    if not kinds <= {int, float}:
+        raise ValueError("float matrix entries must be JSON numbers")
     if not np.isfinite(arr).all():
         raise ValueError("float matrix entries must be finite")
     if obj.get("n", arr.shape[0]) != arr.shape[0]:

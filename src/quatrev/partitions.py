@@ -4,7 +4,7 @@ A partition stores its parts in non-increasing order; the exponent form
 groups equal parts as [d1^t1, ..., ds^ts] with d1 > ... > ds.  Conjugation
 counts columns of the Young diagram.  The conjugate partition is also the
 Weyr structure of a nilpotent map whose Jordan block sizes are the original
-parts.
+parts.  ``parse_partition`` strips whitespace around a number, never inside.
 """
 from __future__ import annotations
 
@@ -86,16 +86,17 @@ def weyr_structure_of(p: Partition) -> WeyrStructure:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "3,2,2" or "[3^2,1^1]"; a number ``parse_integer`` refuses, or
-    an item that is not one "d^t", makes the literal bad."""
-    s = text.strip().replace(" ", "")
+    """Parse "3,2,2" or "[3^2,1^1]"; a number ``parse_integer`` refuses once
+    stripped of the whitespace around it, or an item that is not one "d^t",
+    makes the literal bad."""
+    s = text.strip()
     if not s:
         raise SpecError("empty partition")
     try:
         if s.startswith("[") and s.endswith("]"):
-            items = [item.split("^") for item in s[1:-1].split(",")]
             return Partition.from_exponents(
-                (parse_integer(d), parse_integer(t)) for d, t in items)
-        return Partition.of([parse_integer(x) for x in s.split(",")])
+                map(parse_integer, map(str.strip, item.split("^")))
+                for item in s[1:-1].split(","))
+        return Partition.of([parse_integer(x.strip()) for x in s.split(",")])
     except ValueError as exc:
         raise SpecError(f"bad partition literal: {text!r}") from exc

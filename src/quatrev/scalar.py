@@ -8,6 +8,9 @@ throughout the package, so similarity classes of eigenvalues are represented
 by the unique complex number in the class with nonnegative imaginary part.
 ``GaussianRational.norm_sq`` and ``inverse`` are computed in integers from
 re + im i = (x + y i)/z, one Fraction per returned component.
+Every number read from text matches one ASCII pattern whole, nothing
+deleted from inside it: integers, rationals, complex literals built from
+the rational pattern, and the float tolerances' decimals (``DECIMAL_RE``).
 """
 from __future__ import annotations
 
@@ -17,6 +20,16 @@ from fractions import Fraction
 
 _INTEGER_RE = _re.compile(r"[+-]?[0-9]+")
 _RATIONAL_RE = _re.compile(rf"({_INTEGER_RE.pattern})(?:/([1-9][0-9]*))?")
+# real | [re op | sign] [im ["*" | "·"]] i, for rationals real and re, an
+# unsigned rational im, op "+" or "-" and sign "+", "-" or none; whitespace
+# only between tokens
+_COMPLEX_RE = _re.compile(
+    rf"\s*(?:(?P<real>{_RATIONAL_RE.pattern})"
+    rf"|(?:(?P<re>{_RATIONAL_RE.pattern})\s*(?P<op>[+-])\s*|(?P<sign>[+-]?))"
+    rf"(?:(?P<im>(?![+-]){_RATIONAL_RE.pattern})\s*(?:[*·]\s*)?)?i)\s*")
+# an unsigned ASCII decimal, such as "0", "1.5", ".5" or "1e-9"
+DECIMAL_RE = _re.compile(
+    r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def parse_integer(text: str) -> int:
@@ -54,7 +67,6 @@ def format_rational(x: Fraction) -> str:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _coerce_rational(x) -> Fraction:
@@ -164,32 +176,15 @@ GR_ONE = gr(1)
 GR_I = gr(0, 1)
 
 
-_COMPLEX_STRIP = _re.compile(r"[\s*·]")
-
-
 def parse_complex(text: str) -> GaussianRational:
-    """Parse a compact complex literal: "2", "-1/2", "i", "3/5+4/5i", "1-i"."""
-    s = _COMPLEX_STRIP.sub("", text)
-    if not s:
-        raise ValueError("empty complex literal")
-    if not s.endswith("i"):
-        return gr(parse_rational(s))
-    body = s[:-1]
-    # find a sign splitting real and imaginary parts (not the leading sign)
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/":
-            re_part, im_part = body[:k], body[k:]
-            break
-    else:
-        re_part, im_part = "", body
-    if im_part in ("", "+"):
-        im_val = _ONE
-    elif im_part == "-":
-        im_val = -_ONE
-    else:
-        im_val = parse_rational(im_part)
-    re_val = parse_rational(re_part) if re_part else _ZERO
-    return GaussianRational(re_val, im_val)
+    """Parse a compact complex literal: "2", "-1/2", "i", "3/5+4/5i", "1-i",
+    "2*i", "3/5 + 4/5 i"; it matches ``_COMPLEX_RE`` whole or is refused."""
+    m = _COMPLEX_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a complex literal: {text!r}")
+    if m["real"]:
+        return gr(m["real"])
+    return gr(m["re"] or 0, (m["op"] or m["sign"]) + (m["im"] or "1"))
 
 
 @dataclass(frozen=True)

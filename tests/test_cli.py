@@ -277,9 +277,12 @@ def test_classify_float_matrix_tolerance_flags(tmp_path):
 
 
 def test_tolerance_flags_must_be_finite_and_not_negative():
+    """A tolerance is an unsigned ASCII decimal matched whole: float() alone
+    also reads "1_0e-9", Arabic-Indic or full-width digits and padding."""
     f_json = '{"n": 1, "entries": [[[2.0, 0, 0, 0]]]}'
     for flag in ("--rank-tol", "--eig-tol", "--unit-tol"):
-        for value in ("nan", "inf", "-inf", "-1", "-1e-9", "1e999", "x", ""):
+        for value in ("nan", "inf", "-inf", "-1", "-1e-9", "1e999", "x", "",
+                      "1_0e-9", "\u0663", "\uff11", " 1e-9 ", "+1", "0x1"):
             code, out, err = run("classify", "--matrix", f_json,
                                  f"{flag}={value}")
             assert code == EXIT_PARSE and out == "", (flag, value)
@@ -287,6 +290,9 @@ def test_tolerance_flags_must_be_finite_and_not_negative():
             assert f"argument {flag}: " in err
         code, out, _ = run("classify", "--matrix", f_json, flag, "0")
         assert code == EXIT_OK and out
+        for value in (".5", "1.", "1e300"):  # read; the run may then exit 3
+            assert "argument" not in run("classify", "--matrix", f_json,
+                                         f"{flag}={value}")[2]
 
 
 def test_classify_singular_float_exit(tmp_path):
@@ -448,7 +454,12 @@ def test_classify_malformed_float_fields():
                  '{"entries": 7}',
                  '{"n": 1.9, "entries": [[[1, 0, 0, 0]]]}',
                  '{"n": true, "entries": [[[1, 0, 0, 0]]]}',
-                 '{"n": "1", "entries": [[[1, 0, 0, 0]]]}'):
+                 '{"n": "1", "entries": [[[1, 0, 0, 0]]]}',
+                 # numpy would read each of these entries as a float
+                 '{"n": 1, "entries": [[["1_0", 0, 0, 0]]]}',
+                 '{"n": 1, "entries": [[[" 2 ", 0, 0, 0]]]}',
+                 '{"n": 1, "entries": [[["\u0663", 0, 0, 0]]]}',
+                 '{"n": 1, "entries": [[[true, 0, 0, 0]]]}'):
         code, out, err = run("classify", "--matrix", text)
         assert code == EXIT_PARSE, text
         assert out == ""

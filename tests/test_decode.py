@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quatrev.errors import ShapeError
-from quatrev.matrix import QMatrix
+from quatrev.matrix import QMatrix, block_diagonal, place_blocks
 from quatrev.reversers import Certificate
 from quatrev.scalar import Quaternion, parse_rational
 
@@ -122,6 +122,8 @@ HOSTILE = [
     ({"n": 2, "m": 2, "entries": [[["1", "0", "0", "0"], ["1", "0", "0", "0"]],
                                   [["1", "0", "0", "0"]]]},
      (ShapeError, "ragged rows")),
+    ({"n": 2, "m": 1, "entries": [[], [["1", "0", "0", "0"]]]},
+     (ShapeError, "ragged rows")),
     ({"n": 0, "m": 0, "entries": []},
      (ShapeError, "matrix must have at least one row and column")),
     ({"n": 1, "m": 0, "entries": [[]]},
@@ -166,3 +168,12 @@ _JSON = st.recursive(
                               "entries": _JSON}))
 def test_any_object_decodes_like_the_entries_built_decoder(obj):
     assert _outcome(QMatrix.from_json, obj) == _outcome(_entries_built, obj)
+
+
+def test_an_empty_placement_is_a_shape_error():
+    """The public constructor, the decoder (``HOSTILE``) and every matrix
+    born in integer form share the one empty check."""
+    with pytest.raises(ShapeError):
+        block_diagonal([])
+    with pytest.raises(ShapeError):
+        place_blocks(0, [])

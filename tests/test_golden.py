@@ -15,10 +15,14 @@ without "im", with a block that is not an object or blocks that are not a
 list, a block without a comma, a bad eigenvalue, a size that is not ASCII
 digits), ``weyr`` on a partition in both spellings and on parts and
 exponents that are not ASCII digits, ``omega`` on such a ``--n`` (an
-argparse usage error, exit 2), and
+argparse usage error, exit 2), numbers joined by a space or "*" (an
+``omega --lambda`` of "1*2" or "1 2,0", a compact spec eigenvalue "1/2 3",
+a ``weyr`` partition "3 2,1"; each exits 2), and
 float matrices for ``classify --matrix`` (dense conjugates that snap with a
 size-2 block, fail on the 1+i, (1+i)/2 pair with exit 3, or keep unsnapped
-classes, and 1x1 inputs whose class lies within unit_tol of 0).
+classes, 1x1 inputs whose class lies within unit_tol of 0, and exit-2
+inputs: a ``--rank-tol`` of "1_0e-9", an entry that is a string or
+``true``).
 After a deliberate output change, re-record with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
 """

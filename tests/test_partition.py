@@ -90,6 +90,7 @@ def test_parse_partition_forms():
     assert parse_partition(" 4 , 1 ") == Partition.of([4, 1])
     # unordered input is normalized, same as Partition.of
     assert parse_partition("2,3") == Partition.of([3, 2])
-    for bad in ["", "0", "[2^0]", "x", "1,,2"]:
+    # whitespace is stripped around a part or exponent, never inside one
+    for bad in ["", "0", "[2^0]", "x", "1,,2", "3 2,1", "[3^1 0]"]:
         with pytest.raises(SpecError):
             parse_partition(bad)

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import naive_gr_inverse, naive_norm_sq
 from quatrev.classify import _is_unit
@@ -95,6 +95,58 @@ def test_parse_complex_forms():
     assert parse_complex("3/5+4/5i") == gr("3/5", "4/5")
     assert parse_complex("1-i") == gr(1, -1)
     assert parse_complex("-2/3i") == gr(0, "-2/3")
+    assert parse_complex("+i") == GR_I
+    assert parse_complex("1/2i") == gr(0, "1/2")
+    for text, im in (("2*i", 2), ("2\u00b7i", 2), ("1 i", 1)):
+        assert parse_complex(text) == gr(0, im)
+    assert parse_complex("3/5 + 4/5 i") == gr("3/5", "4/5")
+    assert parse_complex(" 2 ") == gr(2)
+    # whitespace only between tokens, "*" or "·" only before i: none of
+    # these is read as 12, 1/23, 2 or i
+    for bad in ("1*2", "1 2", "1\u00b72", "1/2*3", "1/2 3", "2*", "*2", "*i",
+                "", " ", "- 2", "1+-i", "2i+1", "ii"):
+        with pytest.raises(ValueError, match="not a complex literal"):
+            parse_complex(bad)
+
+
+def _tokens(x: GaussianRational) -> list[str]:
+    """``str(x)`` cut into its tokens: the real part, the sign between the
+    parts, the imaginary coefficient and i; a leading sign stays with what
+    follows it, as a rational's sign does."""
+    if not x.im:
+        return [str(x.re)]
+    sign = "-" if x.im < 0 else "+"
+    tokens = ([] if abs(x.im) == 1 else [str(abs(x.im))]) + ["i"]
+    if x.re:
+        return [str(x.re), sign, *tokens]
+    return [sign.strip("+") + tokens[0], *tokens[1:]]
+
+
+_parts = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                   fractions_st)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(GaussianRational, _parts, _parts), st.data())
+def test_parse_complex_reads_str_with_spaces_only_between_tokens(x, data):
+    tokens = _tokens(x)
+    assert "".join(tokens) == str(x)
+    assert parse_complex(str(x)) == x
+    gaps = st.sampled_from(["", " ", "  ", "\t"])
+    spaced = data.draw(gaps) + "".join(
+        token + (data.draw(st.sampled_from(["*", "\u00b7", " * "]))
+                 if token[-1:].isdigit() and nxt == "i" else data.draw(gaps))
+        for token, nxt in zip(tokens, tokens[1:] + [""]))
+    assert parse_complex(spaced) == x
+    numbers = [t for t in tokens if len(t) > 1 and t != "-i"]
+    assume(numbers)
+    number = data.draw(st.sampled_from(numbers))
+    cut = data.draw(st.integers(1, len(number) - 1))
+    junk = data.draw(st.sampled_from([" ", "*", "\u00b7"]))
+    broken = "".join(tokens).replace(number, number[:cut] + junk
+                                     + number[cut:], 1)
+    with pytest.raises(ValueError):
+        parse_complex(broken)
 
 
 def test_gaussian_field_ops():
