@@ -47,7 +47,7 @@ print("random centralizer sample commutes:", k * aw == aw * k)
 # the level-form reverser: a blocked analogue of the single-block omega,
 # times the quaternion unit j, conjugates the level form to its inverse
 om = weyr_reverser(lam, p)
-tau = om.to_quaternion() * QMatrix.scalar(p.total, Q_J)
+tau = om * QMatrix.scalar(p.total, Q_J)
 print("tau A_W tau^-1 == A_W^-1:", tau * aw == aw.inverse() * tau)
 
 # small enough to look at: the blocked reverser for chain lengths (2, 1)

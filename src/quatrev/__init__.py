@@ -12,7 +12,7 @@ exact Jordan data from numeric matrices.
 Classes
 -------
 GaussianRational, Quaternion    exact scalars
-CMatrix, QMatrix                dense exact matrices
+QMatrix                         dense exact matrices (entries in H or C)
 Partition, WeyrStructure        block-size combinatorics
 JordanSpec                      normalized multiset of Jordan blocks
 Classification                  reversibility flags with witnesses
@@ -34,7 +34,7 @@ True
 from .scalar import (GaussianRational, Quaternion, class_rep,
                      class_rep_inverse, class_rep_neg_inverse, gr,
                      parse_complex, parse_rational, quat)
-from .matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
+from .matrix import (QMatrix, block_diagonal, is_involution,
                      is_skew_involution, phi_embed, place_blocks, qdet)
 from .partitions import (Partition, WeyrStructure, parse_partition,
                          weyr_structure_of)

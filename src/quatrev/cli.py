@@ -56,12 +56,17 @@ def _read_text(arg: str) -> str:
         raise _CliParseError(f"cannot read {arg}: {exc}") from exc
 
 
+_TOO_DEEP = "invalid JSON: nested too deeply"
+
+
 def _load_json(arg: str):
     text = _read_text(arg)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _CliParseError(_TOO_DEEP) from exc
 
 
 _COMPACT_BLOCK = re.compile(r"\(([^()]*)\)")
@@ -76,6 +81,8 @@ def _parse_spec(arg: str) -> JordanSpec:
             return JordanSpec.from_json(json.loads(text))
         except ValueError as exc:  # json.JSONDecodeError included
             raise _CliParseError(f"bad spec JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise _CliParseError(_TOO_DEEP) from exc
     body = text
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
@@ -202,8 +209,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
 
 def cmd_omega(args) -> tuple[int, dict]:
     # a zero eigenvalue or size is block_reverser's DomainError: exit 2
-    mat = block_reverser(_parse_scalar(args.lam), args.n).to_quaternion()
-    return EXIT_OK, mat.to_json()
+    return EXIT_OK, block_reverser(_parse_scalar(args.lam), args.n).to_json()
 
 
 def cmd_weyr(args) -> tuple[int, dict]:

@@ -1,10 +1,11 @@
-"""Dense exact matrices over rational quaternions and complex rationals.
+"""Dense exact matrices over the rational quaternions: one type, ``QMatrix``.
 
-``QMatrix`` holds quaternion entries, ``CMatrix`` complex-rational entries;
-a CMatrix embeds into a QMatrix with zero j,k parts.  Both share one
-arithmetic core written for noncommutative entries: row operations multiply
-from the left only, which is what keeps elimination valid over the
-quaternions with the right-module convention.
+A complex matrix is a QMatrix whose entries lie in C (zero j and k parts);
+it needs no type of its own, since the kernels below read which half of H
+an operand lies in from its entries, and an elimination on entries in C
+stays in C.  The arithmetic is written for noncommutative entries: row
+operations multiply from the left only, which is what keeps elimination
+valid over the quaternions with the right-module convention.
 
 The complex embedding sends A = A1 + A2*j to the 2n x 2n complex matrix
 [[A1, A2], [-conj(A2), conj(A1)]].  Its determinant, the Study
@@ -18,14 +19,14 @@ form ``(d, rows)`` (``_ints``): d the lcm of every component denominator
 and rows the integer 4-tuples of d*M (complex (re, im, 0, 0); None for
 zero).  A matrix the package builds (a product, a sum, a negation, a
 transpose, a placement of blocks, a Jordan matrix, a block reverser, an
-inverse) is born in that form (``_Dense._of_ints``, reduced by gcd(d, every
+inverse) is born in that form (``QMatrix._of_ints``, reduced by gcd(d, every
 component) so that it equals the form of the same entries).  So is a
 decoded matrix: ``from_json`` reads each literal as the integers (p, q) it
 spells, unreduced ("2/4" stays (2, 4); the gcd reduction makes the form the
 same).  A matrix built from entries (the public constructor) gets its form
 at construction and keeps no entry; it and ``from_json`` clear denominators
-through ``_cleared``, and each form is written by ``_Dense._store``.  The
-form is all a matrix holds: its scalar entries are made from it on each
+through ``_cleared``, and each form is written by ``QMatrix._store``.  The
+form is all a matrix holds: its quaternion entries are made from it on each
 read (``entries``, ``entry``), one Fraction per nonzero component.
 Matrices are immutable, so
 the form depends only on the matrix, and equality and hashing compare it;
@@ -66,9 +67,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ShapeError, SingularError
-from .scalar import (GR_ONE, GR_ZERO, Q_ONE, Q_ZERO, GaussianRational,
-                     Quaternion, quaternion_ints)
+from .errors import QuatrevError, ShapeError, SingularError
+from .scalar import Q_ONE, Q_ZERO, Quaternion, quaternion_ints
 
 _F_ZERO = Fraction(0)
 _Z4 = (0, 0, 0, 0)
@@ -91,13 +91,14 @@ def _conj_norm(p):
     return (p0, -p1, -p2, -p3), p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
 
 
-def _entry(build, s, den):
-    """The scalar s/den for an integer 4-tuple s, one Fraction a component."""
+def _entry(s, den):
+    """The quaternion s/den for an integer 4-tuple s, one Fraction a
+    component."""
     s0, s1, s2, s3 = s
-    return build(Fraction(s0, den) if s0 else _F_ZERO,
-                 Fraction(s1, den) if s1 else _F_ZERO,
-                 Fraction(s2, den) if s2 else _F_ZERO,
-                 Fraction(s3, den) if s3 else _F_ZERO)
+    return Quaternion(Fraction(s0, den) if s0 else _F_ZERO,
+                      Fraction(s1, den) if s1 else _F_ZERO,
+                      Fraction(s2, den) if s2 else _F_ZERO,
+                      Fraction(s3, den) if s3 else _F_ZERO)
 
 
 def _half(rows):
@@ -242,22 +243,18 @@ def _study_det(d, rows):
     return Fraction(pivots * den * den, num * num)
 
 
-class _Dense:
-    """Shared implementation; subclasses pin the scalar zero/one and how an
-    entry splits into, and is built from, four rational components.  The
-    stored form ``_ints`` is written once, by ``__init__`` or ``_of_ints``."""
+class QMatrix:
+    """Dense matrix over exact quaternions; a complex matrix is one whose
+    entries lie in C, (x, y, 0, 0) = x + yi.  The stored form ``_ints`` is
+    written once, by ``__init__`` or ``_of_ints``."""
 
     __slots__ = ("n_rows", "n_cols", "_ints")
 
-    _szero = None
-    _sone = None
-
-    def __init__(self, rows: Iterable[Iterable]):
-        z, parts = self._szero, self._parts
+    def __init__(self, rows: Iterable[Iterable[Quaternion]]):
         self._store(*_cleared([
-            [None if x is z else [(f.numerator, f.denominator)
-                                  for f in parts(x)] for x in row]
-            for row in rows]))
+            [None if x is Q_ZERO else [(f.numerator, f.denominator)
+                                       for f in (x.a, x.b, x.c, x.d)]
+             for x in row] for row in rows]))
 
     def _store(self, d, rows):
         """Write the stored form (d, rows) and the shape: the one place a
@@ -285,12 +282,12 @@ class _Dense:
 
     @property
     def entries(self):
-        """The scalar entries, a tuple of tuples, made from the stored form
-        on each read: one Fraction per nonzero component, zeros the shared
-        zero."""
+        """The quaternion entries, a tuple of tuples, made from the stored
+        form on each read: one Fraction per nonzero component, zeros the
+        shared ``Q_ZERO``."""
         d, rows = self._ints
-        return tuple(tuple(_entry(self._build, s, d) if s else self._szero
-                           for s in row) for row in rows)
+        return tuple(tuple(_entry(s, d) if s else Q_ZERO for s in row)
+                     for row in rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -303,19 +300,19 @@ class _Dense:
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int | None = None):
         n_cols = n_rows if n_cols is None else n_cols
-        return cls([[cls._szero] * n_cols for _ in range(n_rows)])
+        return cls([[Q_ZERO] * n_cols for _ in range(n_rows)])
 
     @classmethod
     def identity(cls, n: int):
-        return cls.scalar(n, cls._sone)
+        return cls.scalar(n, Q_ONE)
 
     @classmethod
-    def diagonal(cls, values: Sequence):
-        return cls([[v if i == j else cls._szero for j in range(len(values))]
+    def diagonal(cls, values: Sequence[Quaternion]):
+        return cls([[v if i == j else Q_ZERO for j in range(len(values))]
                     for i, v in enumerate(values)])
 
     @classmethod
-    def scalar(cls, n: int, value):
+    def scalar(cls, n: int, value: Quaternion):
         return cls.diagonal([value] * n)
 
     # -- structure ------------------------------------------------------
@@ -324,20 +321,20 @@ class _Dense:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    def entry(self, i: int, j: int):
+    def entry(self, i: int, j: int) -> Quaternion:
         d, rows = self._ints
         s = rows[i][j]
-        return _entry(self._build, s, d) if s else self._szero
+        return _entry(s, d) if s else Q_ZERO
 
     def transpose(self):
         d, rows = self._ints
         return self._of_ints(d, [*zip(*rows)])
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._ints == other._ints
+        return isinstance(other, QMatrix) and self._ints == other._ints
 
     def __hash__(self):
-        return hash((type(self).__name__, self._ints))
+        return hash(self._ints)
 
     @property
     def is_zero(self) -> bool:
@@ -354,7 +351,10 @@ class _Dense:
     def _sum(self, other, sign):
         """self + sign*other: both forms brought to the lcm of their d, a
         zero sum stored as None."""
-        self._expect_same_shape(other)
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
+            raise ShapeError("shape mismatch")
         (alpha, a_rows), (beta, b_rows) = self._ints, other._ints
         d = math.lcm(alpha, beta)
         fa, fb = d // alpha, sign * (d // beta)
@@ -374,7 +374,7 @@ class _Dense:
                                   for e in row] for row in rows])
 
     def __mul__(self, other):
-        if type(self) is not type(other):
+        if not isinstance(other, QMatrix):
             return NotImplemented
         if self.n_cols != other.n_rows:
             raise ShapeError(
@@ -406,66 +406,20 @@ class _Dense:
             [e and tuple(d // norm * c for c in _hmul(pbar, e))
              for e in row[n:]] for row, (pbar, norm) in zip(rows, pivots)])
 
-    def _expect_same_shape(self, other):
-        if type(self) is not type(other):
-            raise ShapeError(f"mixed matrix types {type(self).__name__} "
-                             f"and {type(other).__name__}")
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ShapeError("shape mismatch")
-
     def __str__(self) -> str:
         rows = [" ".join(str(x) for x in row) for row in self.entries]
         width = max(len(r) for r in rows)
         return "\n".join(r.ljust(width) for r in rows)
 
-
-class CMatrix(_Dense):
-    """Dense matrix over exact complex rationals."""
-
-    _szero = GR_ZERO
-    _sone = GR_ONE
-
-    @staticmethod
-    def _parts(x):
-        return (x.re, x.im, _F_ZERO, _F_ZERO)
-
-    @staticmethod
-    def _build(re, im, _j, _k):
-        return GaussianRational(re, im)
-
-    def conjugate(self) -> "CMatrix":
-        d, rows = self._ints
-        return self._of_ints(d, [[e and (e[0], -e[1], 0, 0) for e in row]
-                                 for row in rows])
-
-    def to_quaternion(self) -> "QMatrix":
-        return QMatrix._of_ints(*self._ints)
-
-
-class QMatrix(_Dense):
-    """Dense matrix over exact quaternions."""
-
-    _szero = Q_ZERO
-    _sone = Q_ONE
-    _build = Quaternion
-
-    @staticmethod
-    def _parts(x):
-        return (x.a, x.b, x.c, x.d)
-
-    def to_cmatrix(self) -> CMatrix:
-        d, rows = self._ints
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if e and (e[2] or e[3]):
-                    raise ValueError(
-                        f"{self.entry(i, j)} has nonzero j or k part")
-        return CMatrix._of_ints(d, rows)
-
     def to_json(self) -> dict:
-        return {"n": self.n_rows, "m": self.n_cols,
-                "entries": [[x.to_json() for x in row]
-                            for row in self.entries]}
+        """The wire form; an entry too long for Python's int-to-str limit
+        is a ``QuatrevError``, so the CLI exits 2 with one line."""
+        try:
+            entries = [[x.to_json() for x in row] for row in self.entries]
+        except ValueError as exc:
+            raise QuatrevError("a matrix entry has too many digits to "
+                               "write as text") from exc
+        return {"n": self.n_rows, "m": self.n_cols, "entries": entries}
 
     @classmethod
     def from_json(cls, obj) -> "QMatrix":
@@ -490,7 +444,7 @@ def _cleared(rows):
     """(d, integer rows) for rows whose entries are None (zero) or four
     (p, q) pairs, q > 0: d the lcm of every q with p nonzero, each entry as
     ``_over`` writes it.  Ragged rows are refused here; an empty matrix is
-    refused where the form is written (``_Dense._store``)."""
+    refused where the form is written (``QMatrix._store``)."""
     if any(len(row) != len(rows[0]) for row in rows):
         raise ShapeError("ragged rows")
     d = math.lcm(*{q for row in rows for e in row if e for p, q in e if p})
@@ -530,13 +484,14 @@ def place_blocks(size: int,
     return QMatrix._of_ints(d, grid)
 
 
-def phi_embed(a: QMatrix) -> CMatrix:
-    """Complex embedding: A = A1 + A2 j maps to [[A1, A2], [-conj A2, conj A1]]."""
+def phi_embed(a: QMatrix) -> QMatrix:
+    """Complex embedding of A = A1 + A2 j: [[A1, A2], [-conj A2, conj A1]],
+    a matrix whose entries lie in C."""
     parts = [[x.complex_parts() for x in row] for row in a.entries]
     top = [[z1 for z1, _ in row] + [z2 for _, z2 in row] for row in parts]
     bottom = [[-z2.conjugate() for _, z2 in row]
               + [z1.conjugate() for z1, _ in row] for row in parts]
-    return CMatrix(top + bottom)
+    return QMatrix([[z.to_quaternion() for z in row] for row in top + bottom])
 
 
 def qdet(a: QMatrix) -> Fraction:

@@ -48,8 +48,7 @@ from .classify import (involution_pairing, inverse_pairing,
                        neg_inverse_pairing, odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
                      SpecError)
-from .matrix import (CMatrix, QMatrix, block_diagonal, conjugator_checks,
-                     place_blocks)
+from .matrix import QMatrix, block_diagonal, conjugator_checks, place_blocks
 from .scalar import GR_I, GaussianRational
 
 TARGET_INVERSE = "inverse"
@@ -208,7 +207,7 @@ def _inverse_powers(lam: GaussianRational, top: int):
                       for t, (u, v) in enumerate(power)]
 
 
-def block_reverser(lam: GaussianRational, n: int) -> CMatrix:
+def block_reverser(lam: GaussianRational, n: int) -> QMatrix:
     """Upper-triangular intertwiner of J(1/lam, n) with J(lam, n)^{-1}.
 
     Bottom-right entry 1, last column otherwise zero, and each remaining
@@ -232,10 +231,10 @@ def block_reverser(lam: GaussianRational, n: int) -> CMatrix:
             c = (-1) ** m * math.comb(m - 1, k - 1)
             x, y = power[m + k]
             rows[n - 1 - m][n - 1 - k] = (c * x, c * y, 0, 0)
-    return CMatrix._of_ints(den, rows)
+    return QMatrix._of_ints(den, rows)
 
 
-def weyr_reverser(alpha: GaussianRational, p) -> CMatrix:
+def weyr_reverser(alpha: GaussianRational, p) -> QMatrix:
     """Weyr-form analogue of the block reverser for a unit-modulus class.
 
     For Jordan sizes p with largest part r, the matrix is blocked along the
@@ -256,7 +255,7 @@ def weyr_reverser(alpha: GaussianRational, p) -> CMatrix:
                 # truncated identity: rows sizes[i], cols sizes[j]
                 for t in range(min(sizes[i], sizes[j])):
                     rows[offs[i] + t][offs[j] + t] = z
-    return CMatrix._of_ints(den, rows)
+    return QMatrix._of_ints(den, rows)
 
 
 class ReversibleShape(Enum):
@@ -319,7 +318,7 @@ def _block(lam: GaussianRational, s: int, mod: str, left: bool,
     form into a new matrix.  Only construction is memoized; every check of
     a certificate built from it runs afresh.
     """
-    omega = block_reverser(lam, s).to_quaternion()
+    omega = block_reverser(lam, s)
     if mod == _PLAIN and sign > 0:
         return omega
     rows = [[None] * s for _ in range(s)]
@@ -367,9 +366,9 @@ def shape_reverser(shape: ReversibleShape, param: GaussianRational,
     return _place(a, TARGET_INVERSE, flavor, [(0, col, param, partner, n)])
 
 
-def neg_reverser_i_matrix(n: int) -> CMatrix:
+def neg_reverser_i_matrix(n: int) -> QMatrix:
     """Involution conjugating J(i, n) to minus its inverse: Omega(i) D."""
-    return _block(GR_I, n, _D, False, 1).to_cmatrix()
+    return _block(GR_I, n, _D, False, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from quatrev.classify import (involution_pairing, inverse_pairing,
                               neg_inverse_pairing)
 from quatrev.errors import (NotSingleBlock, PairingError, RankProfileError,
                             ShapeError, SingularError)
-from quatrev.matrix import CMatrix, QMatrix, place_blocks, qdet
+from quatrev.matrix import QMatrix, place_blocks, qdet
 from quatrev.numeric import (_NO_PAIRING, _ROUNDS_TO_ZERO, ClassSnap,
                              NumericConfig, SnapReport, _radius_ladder,
                              phi_embed_float, qmatrix_to_float,
@@ -86,7 +86,7 @@ def naive_gr_inverse(lam: GaussianRational) -> GaussianRational:
 
 def naive_mul(x, y):
     """Entrywise Fraction-loop product; independent oracle for ``*``."""
-    z = x._szero
+    z = Q_ZERO
     cols = y.transpose().entries
     out = []
     for row in x.entries:
@@ -99,7 +99,7 @@ def naive_mul(x, y):
                     acc = acc + a * col[j]
             out_row.append(acc)
         out.append(out_row)
-    return type(x)(out)
+    return QMatrix(out)
 
 
 def naive_modified(m, mod, left=False, sign=1):
@@ -112,8 +112,7 @@ def naive_modified(m, mod, left=False, sign=1):
     if left and mod == _J:
         diag = [-q for q in diag]
     xm = QMatrix.diagonal(diag)
-    mq = QMatrix([[z.to_quaternion() for z in row] for row in m.entries])
-    out = naive_mul(xm, mq) if left else naive_mul(mq, xm)
+    out = naive_mul(xm, m) if left else naive_mul(m, xm)
     return [[q if sign > 0 else -q for q in row] for row in out.entries]
 
 
@@ -131,7 +130,19 @@ def naive_check(g: QMatrix, a: QMatrix, target: str,
                         det_one=naive_qdet(g) == 1)
 
 
-def naive_block_reverser(lam: GaussianRational, n: int) -> CMatrix:
+def complex_entries(m: QMatrix) -> list[list[GaussianRational]]:
+    """The entries of a matrix whose entries lie in C, as complex
+    rationals (their j, k parts are dropped)."""
+    return [[m.entry(i, j).complex_parts()[0] for j in range(m.n_cols)]
+            for i in range(m.n_rows)]
+
+
+def complex_matrix(rows) -> QMatrix:
+    """The matrix of rows of complex rationals, entries in C."""
+    return QMatrix([[z.to_quaternion() for z in row] for row in rows])
+
+
+def naive_block_reverser(lam: GaussianRational, n: int) -> QMatrix:
     """Omega(lam) by its recurrence from the bottom row: corner 1, last
     column otherwise zero, x[i][j] = -(1/lam) x[i+1][j] - (1/lam^2)
     x[i+1][j+1]; independent oracle for ``block_reverser``."""
@@ -142,7 +153,7 @@ def naive_block_reverser(lam: GaussianRational, n: int) -> CMatrix:
     for i in range(n - 2, -1, -1):
         for j in range(i, n - 1):
             x[i][j] = -(li * x[i + 1][j]) - li2 * x[i + 1][j + 1]
-    return CMatrix(x)
+    return complex_matrix(x)
 
 
 def toeplitz_build(coeffs) -> QMatrix:
@@ -161,7 +172,7 @@ def naive_inverse(x):
     if not x.is_square:
         raise ShapeError("only square matrices have inverses")
     n = x.n_rows
-    z, o = x._szero, x._sone
+    z, o = Q_ZERO, Q_ONE
     work = [list(row) + [o if i == j else z for j in range(n)]
             for i, row in enumerate(x.entries)]
     for col in range(n):
@@ -180,7 +191,7 @@ def naive_inverse(x):
             if factor == z:
                 continue
             work[r] = [e - factor * y for e, y in zip(work[r], work[col])]
-    return type(x)([row[n:] for row in work])
+    return QMatrix([row[n:] for row in work])
 
 
 def naive_qdet(a: QMatrix) -> Fraction:
@@ -212,31 +223,29 @@ def naive_qdet(a: QMatrix) -> Fraction:
     return det
 
 
-def cofactor_det(c: CMatrix) -> GaussianRational:
-    """Naive Laplace expansion; independent check for the fast determinant."""
-    n = c.n_rows
-    if n == 1:
-        return c.entry(0, 0)
-    total = None
-    for j in range(n):
-        piv = c.entry(0, j)
+def cofactor_det(c: QMatrix) -> GaussianRational:
+    """Naive Laplace expansion of a matrix with entries in C; independent
+    check for the fast determinant."""
+    return _laplace(complex_entries(c))
+
+
+def _laplace(rows) -> GaussianRational:
+    if len(rows) == 1:
+        return rows[0][0]
+    total = GR_ZERO
+    for j, piv in enumerate(rows[0]):
         if piv.is_zero:
             continue
-        minor = CMatrix([[c.entry(r, k) for k in range(n) if k != j]
-                         for r in range(1, n)])
-        term = piv * cofactor_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return c.entry(0, 0) - c.entry(0, 0)
+        term = piv * _laplace([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total - term if j % 2 else total + term
     return total
 
 
-def det_bareiss(c: CMatrix) -> GaussianRational:
-    """Fraction-free (Bareiss) elimination; independent oracle for ``qdet``."""
+def det_bareiss(c: QMatrix) -> GaussianRational:
+    """Fraction-free (Bareiss) elimination of a matrix with entries in C;
+    independent oracle for ``qdet``."""
     n = c.n_rows
-    m = [list(row) for row in c.entries]
+    m = complex_entries(c)
     sign = 1
     prev = GR_ONE
     for k in range(n - 1):
@@ -267,7 +276,7 @@ def conjugacy_residual(g: QMatrix, a: QMatrix, b: QMatrix) -> QMatrix:
     return g * a - b * g
 
 
-def single_block_conjugator(m: CMatrix, mu: GaussianRational) -> CMatrix:
+def single_block_conjugator(m: QMatrix, mu: GaussianRational) -> QMatrix:
     """P with P M P^{-1} = J(mu, n), via the Jordan chain grown from e_n.
 
     The chain basis is ((M - mu I)^{n-1} e_n, ..., (M - mu I) e_n, e_n);
@@ -277,20 +286,20 @@ def single_block_conjugator(m: CMatrix, mu: GaussianRational) -> CMatrix:
     is e_n is unique.
     """
     n = m.n_rows
-    nilp = m - CMatrix.scalar(n, mu)
-    col = CMatrix([[GR_ONE if i == n - 1 else GR_ZERO] for i in range(n)])
+    nilp = m - QMatrix.scalar(n, mu.to_quaternion())
+    col = QMatrix([[Q_ONE if i == n - 1 else Q_ZERO] for i in range(n)])
     chain = [col]
     for _ in range(n - 1):
         col = nilp * col
         chain.insert(0, col)
-    s = CMatrix([[chain[j].entries[i][0] for j in range(n)]
+    s = QMatrix([[chain[j].entries[i][0] for j in range(n)]
                  for i in range(n)])
     try:
         p = s.inverse()
     except SingularError as exc:
         raise NotSingleBlock("the last coordinate does not generate a full "
                              "Jordan chain") from exc
-    if p * (m * s) != jordan_block(mu, n).to_cmatrix():
+    if p * (m * s) != jordan_block(mu, n):
         raise NotSingleBlock("matrix is not similar to a single Jordan block "
                              f"at {mu}")
     return p
@@ -331,7 +340,7 @@ def naive_place(spec: JordanSpec, target: str, flavor: str) -> QMatrix:
     return place_blocks(spec.total_size, placements)
 
 
-def neg_i_closed_form(n: int) -> CMatrix:
+def neg_i_closed_form(n: int) -> QMatrix:
     """Binomial closed form of the J(i, n) negated-inverse involution."""
     minus_i = -GR_I
     x = [[GR_ZERO] * n for _ in range(n)]
@@ -342,7 +351,7 @@ def neg_i_closed_form(n: int) -> CMatrix:
             c = math.comb(n - i - 2, j - i)
             if c:
                 x[i][j] = sign * gr(c) * minus_i.power(j - i)
-    return CMatrix(x)
+    return complex_matrix(x)
 
 
 def sub_block(g, r0, c0, n):

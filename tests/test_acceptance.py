@@ -16,7 +16,7 @@ from quatrev.classify import (classify_psl, is_neg_reversible, is_reversible,
 from quatrev.decompose import (product_involution_skew,
                                product_two_involutions,
                                product_two_skew_involutions)
-from quatrev.matrix import CMatrix, QMatrix, qdet
+from quatrev.matrix import QMatrix, qdet
 from quatrev.numeric import jordan_spec_numeric, qmatrix_to_float
 from quatrev.partitions import Partition, weyr_structure_of
 from quatrev.reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW,
@@ -28,7 +28,8 @@ from quatrev.scalar import Q_J, gr, parse_complex
 
 
 def cm(rows):
-    return CMatrix([[parse_complex(s) for s in row] for row in rows])
+    return QMatrix([[parse_complex(s).to_quaternion() for s in row]
+                    for row in rows])
 
 
 def ok(num, text):
@@ -47,7 +48,7 @@ def all_partitions(n):
 
 
 def test_1_frozen_negative_reverser_size_five():
-    a = jordan_block(gr(0, 1), 5).to_cmatrix()
+    a = jordan_block(gr(0, 1), 5)
     g = neg_reverser_i_matrix(5)
     expected_g = cm([
         ["1", "-3i", "-3", "i", "0"],
@@ -67,7 +68,7 @@ def test_1_frozen_negative_reverser_size_five():
     assert g == expected_g
     assert g * a == expected_ga
     assert a.inverse() * g == -expected_ga
-    assert g * g == CMatrix.identity(5)
+    assert g * g == QMatrix.identity(5)
     assert g * a * g.inverse() == -(a.inverse())
     ok(1, "frozen 5x5 negative reverser, its products, and g^2 = I")
 
@@ -80,10 +81,10 @@ def test_2_block_reverser_identities():
         for n in range(1, 9):
             om = block_reverser(lam, n)
             om_inv = block_reverser(lam_inv, n)
-            j_lam = jordan_block(lam, n).to_cmatrix()
-            j_inv = jordan_block(lam_inv, n).to_cmatrix()
+            j_lam = jordan_block(lam, n)
+            j_inv = jordan_block(lam_inv, n)
             assert om * j_inv == j_lam.inverse() * om
-            assert om * om_inv == CMatrix.identity(n)
+            assert om * om_inv == QMatrix.identity(n)
     ok(2, "block reverser intertwines J(1/lam) with J(lam)^-1 and "
           "inverts by eigenvalue swap (50 eigenvalues, n <= 8)")
 
@@ -238,7 +239,7 @@ def test_7_weyr_layer(sweep_specs):
         for parts in all_partitions(n):
             p = Partition.of(parts)
             om = weyr_reverser(alpha, p)
-            tau = om.to_quaternion() * QMatrix.scalar(p.total, Q_J)
+            tau = om * QMatrix.scalar(p.total, Q_J)
             aw = basic_weyr_matrix(alpha, weyr_structure_of(p))
             assert tau * aw == aw.inverse() * tau
             reversed_count += 1

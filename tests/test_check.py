@@ -6,18 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import naive_check, naive_qdet, sweep_blocks
+from conftest import complex_matrix, naive_check, naive_qdet, sweep_blocks
 from quatrev import matrix
 from quatrev.canonical import JordanSpec, jordan_matrix
 from quatrev.decompose import factorize, verify_certificate
 from quatrev.errors import NotConstructible, SingularError
-from quatrev.matrix import (CMatrix, QMatrix, is_involution,
-                            is_skew_involution, qdet)
+from quatrev.matrix import QMatrix, is_involution, is_skew_involution, qdet
 from quatrev.reversers import (FLAVOR_GENERAL, FLAVOR_INVOLUTION,
                                FLAVOR_SKEW, FLAVORS, TARGET_INVERSE,
                                TARGET_NEG_INVERSE, TARGETS, VerifyReport,
                                assemble_reverser, check_certificate)
-from quatrev.scalar import Q_ZERO, GaussianRational, Quaternion, gr, quat
+from quatrev.scalar import Q_ZERO, Quaternion, gr, quat
 
 REQUESTS = [(t, f) for t in TARGETS for f in FLAVORS]
 KINDS = [(TARGET_INVERSE, FLAVOR_INVOLUTION), (TARGET_INVERSE, FLAVOR_SKEW),
@@ -189,25 +188,25 @@ _OPS = {
 
 
 def _fresh(m):
-    return type(m)(m.entries)
+    return QMatrix(m.entries)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 6),
        st.sampled_from(sorted(DENOMS)), st.sampled_from([0.3, 1.0]),
-       st.sampled_from([QMatrix, CMatrix]),
+       st.booleans(),
        st.lists(st.tuples(st.sampled_from(sorted(_OPS)), st.integers(0, 1)),
                 min_size=1, max_size=8))
-def test_stored_integer_form_stays_correct(seed, n, denoms, density, cls,
+def test_stored_integer_form_stays_correct(seed, n, denoms, density, in_c,
                                            ops):
     """Any sequence of the operations that read the stored integer form
     gives what each gives on a fresh matrix, and leaves the form equal to a
-    fresh scaling, rows as tuples."""
+    fresh scaling, rows as tuples; with ``in_c`` the matrices lie in C."""
     rng = random.Random(seed)
     ms = [_random(rng, n, DENOMS[denoms], density) for _ in range(2)]
-    if cls is CMatrix:
-        ms = [CMatrix([[GaussianRational(x.a, x.b) for x in row]
-                       for row in m.entries]) for m in ms]
+    if in_c:
+        ms = [complex_matrix([[x.complex_parts()[0] for x in row]
+                              for row in m.entries]) for m in ms]
     for name, i in ops:
         m, other = ms[i], ms[1 - i]
         assert _OPS[name](m, other) == _OPS[name](_fresh(m), _fresh(other))

@@ -676,3 +676,55 @@ def test_json_rational_takes_ascii_digits_only():
             assert code == EXIT_PARSE, (text, argv[:2])
             assert out == "" and err.startswith("error: ")
             _one_line_error(err)
+
+
+# -- input nested too deeply to parse, output too long to write ------------
+
+_DEEP = 100_000   # beyond any interpreter's C recursion limit
+
+
+def test_deeply_nested_json_is_one_line_exit_2(tmp_path):
+    """JSON nested deeper than ``json`` can parse exits 2 with one fixed
+    line, not a RecursionError, at every entry point that reads JSON."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * _DEEP, encoding="utf-8")
+    spec = tmp_path / "deep-spec.json"
+    spec.write_text('{"blocks":' + "[" * _DEEP, encoding="utf-8")
+    matrix, doc = _certified_pair()
+    good_matrix, good_cert = json.dumps(matrix), json.dumps(doc)
+    cases = [
+        (("verify", "--matrix", str(deep), "--cert", str(deep)), None),
+        (("verify", "--matrix", "-", "--cert", good_cert), "[" * _DEEP),
+        (("verify", "--matrix", good_matrix, "--cert", str(deep)), None),
+        (("decompose", "--matrix", str(deep), "--cert", good_cert), None),
+        (("classify", "--matrix", str(deep)), None),
+        (("classify", "--jordan", str(spec)), None),
+        (("certify", "--jordan", str(spec)), None),
+        (("decompose", "--jordan", str(spec)), None),
+    ]
+    for argv, stdin in cases:
+        code, out, err = run(*argv, stdin=stdin)
+        assert (code, out) == (EXIT_PARSE, ""), argv
+        assert err == "error: invalid JSON: nested too deeply\n", argv
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str limit")
+def test_entry_beyond_the_int_to_str_limit_is_one_line_exit_2():
+    """An omega entry longer than Python's int-to-str limit exits 2 with
+    one line that names no limit, under the default limit and a lower one;
+    one size smaller writes its matrix."""
+    lam = "1/1" + "0" * 100
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (4300, 1000):
+            sys.set_int_max_str_digits(limit)
+            code, out, err = run("omega", "--lambda", lam, "--n", "23")
+            assert (code, out) == (EXIT_PARSE, "")
+            assert err == ("error: a matrix entry has too many digits to "
+                           "write as text\n")
+        sys.set_int_max_str_digits(4300)
+        code, out, _ = run("omega", "--lambda", lam, "--n", "22")
+        assert code == EXIT_OK and json.loads(out)["n"] == 22
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -1,11 +1,13 @@
-"""The product's complex-half path against the Fraction oracles.
+"""The product's complex-half path against the Fraction oracles, and the
+elimination on matrices whose entries lie in C.
 
 A matrix whose nonzero entries all lie in C, or all in Cj, is multiplied
 one Gaussian-integer product per entry pair; any other operand runs the
 full Hamilton loop.  ``naive_mul`` and ``naive_check`` know nothing of
 either, so every pairing of the halves (C C, C Cj, Cj C, Cj Cj), operands
 mixed per entry, general quaternions and all-zero operands must agree with
-them.
+them.  A complex matrix is a QMatrix with entries in C: its elimination
+and inverse stay in C, and its Study determinant is |det|^2 over C.
 """
 import itertools
 import random
@@ -13,12 +15,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_check, naive_mul
+import pytest
+
+from conftest import complex_matrix, det_bareiss, naive_check, naive_mul
 from quatrev.canonical import JordanSpec, jordan_matrix
-from quatrev.matrix import CMatrix, QMatrix, _half
+from quatrev.errors import SingularError
+from quatrev.matrix import QMatrix, _eliminate, _half, phi_embed, qdet
 from quatrev.reversers import (FLAVORS, TARGETS, assemble_reverser,
                                check_certificate)
-from quatrev.scalar import Q_ZERO, GaussianRational, Quaternion
+from quatrev.scalar import GR_ZERO, Q_ZERO, GaussianRational, Quaternion
 
 # operand kinds: where each nonzero entry's components may be nonzero
 KINDS = ("C", "Cj", "mixed", "quaternion", "zero")
@@ -54,16 +59,8 @@ def _operand(rng, kind, rows, cols, big, density=0.7):
     return QMatrix(out)
 
 
-def _complex(m):
-    return CMatrix([[GaussianRational(x.a, x.b) for x in row]
-                    for row in m.entries])
-
-
 def _agrees(a, b):
     assert a * b == naive_mul(a, b)
-    if all(_half(m._ints[1]) == 0 for m in (a, b)):
-        assert _complex(a) * _complex(b) == naive_mul(_complex(a),
-                                                      _complex(b))
 
 
 @settings(max_examples=80, deadline=None)
@@ -133,3 +130,60 @@ def test_check_matches_naive_check_on_complex_half_certificates():
         for (gg, aa), t, f in itertools.product(cases, TARGETS, FLAVORS):
             assert check_certificate(gg, aa, t, f) == naive_check(gg, aa, t, f)
         assert not check_certificate(cases[1][0], a, target, flavor).ok
+
+
+# -- elimination on entries in C stays in C --------------------------------
+
+_small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_gaussian = st.one_of(st.just(GR_ZERO),
+                      st.builds(GaussianRational, _small, _small))
+
+
+@st.composite
+def _complex_square(draw, max_n=6):
+    """An n x n matrix with entries in C, n <= max_n; about half are made
+    singular, one row a complex combination of two others."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.lists(_gaussian, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        k, i, j = (draw(st.integers(0, n - 1)) for _ in range(3))
+        u, v = draw(_gaussian), draw(_gaussian)
+        rows[k] = ([GR_ZERO] * n if k in (i, j) else
+                   [u * x + v * y for x, y in zip(rows[i], rows[j])])
+    return complex_matrix(rows)
+
+
+def _in_c(rows):
+    return all(not (e[2] or e[3]) for row in rows for e in row if e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complex_square())
+def test_elimination_of_a_complex_matrix_stays_in_c(m):
+    """Forward and Gauss-Jordan elimination leave every nonzero entry with
+    zero j and k parts, the inverse lies in C, and qdet is |det|^2 over C,
+    so the rank over H is the rank over Q(i)."""
+    for full in (False, True):
+        rows, _, _ = _eliminate(*m._ints, full)
+        assert rows is None or _in_c(rows)
+    det = det_bareiss(m)
+    assert qdet(m) == det.norm_sq()
+    if det.is_zero:
+        with pytest.raises(SingularError):
+            m.inverse()
+    else:
+        assert _half(m.inverse()._ints[1]) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.builds(Quaternion, *[_small] * 4),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_study_determinant_of_the_embedding_is_its_square(rows):
+    """qdet(phi_embed(A)) = qdet(A)^2: the embedding lies in C, where qdet
+    is |det|^2, and det phi_embed(A) = qdet(A)."""
+    a = QMatrix(rows)
+    assert _half(phi_embed(a)._ints[1]) == 0
+    assert qdet(phi_embed(a)) == qdet(a) ** 2

@@ -22,7 +22,9 @@ float matrices for ``classify --matrix`` (dense conjugates that snap with a
 size-2 block, fail on the 1+i, (1+i)/2 pair with exit 3, or keep unsnapped
 classes, 1x1 inputs whose class lies within unit_tol of 0, and exit-2
 inputs: a ``--rank-tol`` of "1_0e-9", an entry that is a string or
-``true``).
+``true``), ``verify`` and ``decompose`` given a 4x4 matrix with a 5x5
+certificate, and an ``omega`` whose entries are too long to write under
+Python's int-to-str limit (each exits 2).
 After a deliberate output change, re-record with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
 """

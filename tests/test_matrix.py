@@ -4,18 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (cofactor_det, conjugacy_residual, det_bareiss,
-                      naive_inverse, naive_mul, naive_qdet, rand_invertible,
-                      rand_qmatrix, rand_quat, rng_for, sweep_blocks,
-                      toeplitz_build)
+from conftest import (cofactor_det, complex_matrix, conjugacy_residual,
+                      det_bareiss, naive_inverse, naive_mul, naive_qdet,
+                      rand_invertible, rand_qmatrix, rand_quat, rng_for,
+                      sweep_blocks, toeplitz_build)
 from quatrev.canonical import JordanSpec
 from quatrev.errors import NotConstructible, ShapeError, SingularError
-from quatrev.matrix import (CMatrix, QMatrix, block_diagonal, is_involution,
+from quatrev.matrix import (QMatrix, block_diagonal, is_involution,
                             is_skew_involution, phi_embed, place_blocks,
                             qdet)
 from quatrev.reversers import assemble_reverser
-from quatrev.scalar import (GR_ONE, GR_ZERO, Q_I, Q_J, Q_ONE, Q_ZERO,
-                            GaussianRational, Quaternion, gr, quat)
+from quatrev.scalar import (GR_ZERO, Q_I, Q_J, Q_ONE, Q_ZERO,
+                            GaussianRational, Quaternion, quat)
 
 
 def qm(rows):
@@ -78,7 +78,7 @@ def test_quaternionic_singularity_not_componentwise():
 
 def test_phi_embed_j():
     f = phi_embed(QMatrix([[Q_J]]))
-    assert f == CMatrix([[GR_ZERO, GR_ONE], [-GR_ONE, GR_ZERO]])
+    assert f == qm([[0, 1], [-1, 0]])
 
 
 def test_phi_embed_is_ring_homomorphism():
@@ -88,7 +88,7 @@ def test_phi_embed_is_ring_homomorphism():
         b = rand_qmatrix(rng, 3, -4, 4)
         assert phi_embed(a * b) == phi_embed(a) * phi_embed(b)
         assert phi_embed(a + b) == phi_embed(a) + phi_embed(b)
-    assert phi_embed(QMatrix.identity(3)) == CMatrix.identity(6)
+    assert phi_embed(QMatrix.identity(3)) == QMatrix.identity(6)
 
 
 def test_qdet_frozen_values():
@@ -118,7 +118,7 @@ def test_qdet_nonnegative_and_multiplicative():
 
 
 def test_bareiss_zero_determinant():
-    m = CMatrix([[GR_ONE, GR_ONE], [GR_ONE, GR_ONE]])
+    m = qm([[1, 1], [1, 1]])
     assert det_bareiss(m) == GR_ZERO
 
 
@@ -198,13 +198,6 @@ def test_qmatrix_json_round_trip():
         QMatrix.from_json({"n": 2, "m": 2, "entries": [[["1", "0", "0", "0"]]]})
 
 
-def test_cmatrix_conjugate_transpose_interplay():
-    c = CMatrix([[gr(1, 2), gr(0, -1)], [gr(3), gr("1/2", "1/2")]])
-    assert c.conjugate().conjugate() == c
-    assert c.transpose().transpose() == c
-    assert c.conjugate().transpose() == c.transpose().conjugate()
-
-
 # -- the integer product kernel against the entrywise oracle -------------
 
 
@@ -244,13 +237,9 @@ def test_product_matches_oracle_rectangular():
 def test_product_matches_oracle_complex():
     rng = rng_for("kernel-complex")
     for (n, k, m) in ((1, 1, 1), (3, 3, 3), (6, 6, 6), (3, 5, 2)):
-        a, b = (CMatrix([[GaussianRational(_hostile_fraction(rng),
-                                           _hostile_fraction(rng))
-                          for _ in range(cols)] for _ in range(rows)])
+        a, b = (_hostile_complex(rng, rows, cols)
                 for rows, cols in ((n, k), (k, m)))
         assert a * b == naive_mul(a, b)
-        assert (a.to_quaternion() * b.to_quaternion()
-                == naive_mul(a, b).to_quaternion())
 
 
 def test_product_zero_entries_are_the_shared_zero():
@@ -260,47 +249,50 @@ def test_product_zero_entries_are_the_shared_zero():
     assert (-a).entry(0, 1) is Q_ZERO and (-a).entry(0, 0) == -quat(1, 2)
     cancel = QMatrix([[Q_ONE, Q_ONE]]) * QMatrix([[Q_ONE], [-Q_ONE]])
     assert cancel.entry(0, 0) is Q_ZERO
-    assert (CMatrix([[GR_ONE]]) * CMatrix([[GR_ZERO]])).entry(0, 0) is GR_ZERO
+    assert (QMatrix([[Q_I]]) * QMatrix([[Q_ZERO]])).entry(0, 0) is Q_ZERO
 
 
-def test_product_of_mixed_types_is_not_implemented():
-    q, c = QMatrix.identity(2), CMatrix.identity(2)
-    assert q.__mul__(c) is NotImplemented
-    assert c.__mul__(q) is NotImplemented
+def test_arithmetic_with_a_non_matrix_is_not_implemented():
+    q = QMatrix.identity(2)
+    for op in (q.__mul__, q.__add__, q.__sub__):
+        assert op(Q_ONE) is NotImplemented
     with pytest.raises(TypeError):
-        q * c
+        q * 2
+    with pytest.raises(TypeError):
+        q + Q_ONE
     with pytest.raises(ShapeError):
         QMatrix.zeros(2, 3) * QMatrix.zeros(2, 3)
     with pytest.raises(ShapeError):
-        CMatrix.zeros(1, 2) * CMatrix.zeros(1, 2)
+        complex_matrix([[GR_ZERO, GR_ZERO]]) * QMatrix([[Q_I, Q_ONE]])
 
 
 # -- the integer elimination kernel against the Fraction-loop oracles -----
 
 
-def _hostile_cmatrix(rng, n):
-    return CMatrix([[GaussianRational(_hostile_fraction(rng),
-                                      _hostile_fraction(rng))
-                     for _ in range(n)] for _ in range(n)])
+def _hostile_complex(rng, n, m):
+    """An n x m matrix whose entries lie in C."""
+    return complex_matrix([[GaussianRational(_hostile_fraction(rng),
+                                             _hostile_fraction(rng))
+                            for _ in range(m)] for _ in range(n)])
 
 
 def _zero_leading_pivot(m):
     """m with its (0, 0) entry zeroed, so elimination must swap rows."""
     rows = [list(row) for row in m.entries]
-    rows[0][0] = m._szero
-    return type(m)(rows)
+    rows[0][0] = Q_ZERO
+    return QMatrix(rows)
 
 
-def _right_multiple_last_column(rng, m):
-    """m whose last column is its first times a scalar on the right: singular
-    over H, but only the last pivot finds it."""
+def _right_multiple_last_column(rng, m, in_c=False):
+    """m whose last column is its first times a scalar on the right (in C
+    if ``in_c``): singular over H, but only the last pivot finds it."""
     q = rand_quat(rng, -3, 3, 2)
-    if isinstance(m, CMatrix):
-        q = q.complex_parts()[0]
+    if in_c:
+        q = q.complex_parts()[0].to_quaternion()
     rows = [list(row) for row in m.entries]
     for row in rows:
         row[-1] = row[0] * q
-    return type(m)(rows)
+    return QMatrix(rows)
 
 
 def _inverse_or_singular(inverse, m):
@@ -330,26 +322,26 @@ def test_qdet_matches_oracle_dense_quaternion():
 def test_inverse_matches_oracle():
     rng = rng_for("elim-inverse")
     for n in range(1, 8):
-        for m in (_hostile_qmatrix(rng, n, n), _hostile_cmatrix(rng, n)):
+        for m in (_hostile_qmatrix(rng, n, n), _hostile_complex(rng, n, n)):
             want = _inverse_or_singular(naive_inverse, m)
-            assert _inverse_or_singular(type(m).inverse, m) == want
+            assert _inverse_or_singular(QMatrix.inverse, m) == want
             if want is not SingularError:
-                assert m * want == type(m).identity(n)
+                assert m * want == QMatrix.identity(n)
             swapped = _zero_leading_pivot(m)
-            assert (_inverse_or_singular(type(m).inverse, swapped)
+            assert (_inverse_or_singular(QMatrix.inverse, swapped)
                     == _inverse_or_singular(naive_inverse, swapped))
-        for m in (rand_qmatrix(rng, n, -3, 3, 2),
-                  CMatrix([[rand_quat(rng, -3, 3, 2).complex_parts()[0]
-                            for _ in range(n)] for _ in range(n)])):
+        for m, in_c in ((rand_qmatrix(rng, n, -3, 3, 2), False),
+                        (complex_matrix(
+                            [[rand_quat(rng, -3, 3, 2).complex_parts()[0]
+                              for _ in range(n)] for _ in range(n)]), True)):
             if n > 1:
-                m = _right_multiple_last_column(rng, m)
+                m = _right_multiple_last_column(rng, m, in_c)
                 with pytest.raises(SingularError):
                     naive_inverse(m)
                 with pytest.raises(SingularError):
                     m.inverse()
-    for cls in (QMatrix, CMatrix):
-        with pytest.raises(ShapeError):
-            cls.zeros(3, 2).inverse()
+    with pytest.raises(ShapeError):
+        QMatrix.zeros(3, 2).inverse()
 
 
 _sparse_quat = st.one_of(

@@ -43,7 +43,7 @@ def test_phi_embed_float_matches_exact():
     exact = phi_embed(q)
     for i in range(4):
         for j in range(4):
-            assert z[i, j] == exact.entry(i, j).to_complex()
+            assert z[i, j] == exact.entry(i, j).complex_parts()[0].to_complex()
 
 
 def test_phi_eigenvalues_diagonal():

@@ -26,10 +26,10 @@ from quatrev.scalar import (GR_I, Q_J, GaussianRational, class_rep_neg_inverse,
 
 
 def cm(rows):
-    """Rows of complex literals to a complex matrix."""
-    from quatrev.matrix import CMatrix
+    """Rows of complex literals to a matrix whose entries lie in C."""
     from quatrev.scalar import parse_complex
-    return CMatrix([[parse_complex(str(x)) for x in row] for row in rows])
+    return QMatrix([[parse_complex(str(x)).to_quaternion() for x in row]
+                    for row in rows])
 
 
 # -- single-block reverser ----------------------------------------------
@@ -90,8 +90,8 @@ def test_block_reverser_identities_random():
         lam = rand_gr(rng, nonzero=True)
         for n in (1, 2, 3, 5):
             om = block_reverser(lam, n)
-            j = jordan_block(lam, n).to_cmatrix()
-            jinv_blk = jordan_block(lam.inverse(), n).to_cmatrix()
+            j = jordan_block(lam, n)
+            jinv_blk = jordan_block(lam.inverse(), n)
             assert om * jinv_blk == j.inverse() * om
             assert om.inverse() == block_reverser(lam.inverse(), n)
 
@@ -218,7 +218,7 @@ def test_weyr_reverser_reverses(parts):
     w = weyr_structure_of(p)
     aw = basic_weyr_matrix(alpha, w)
     om = weyr_reverser(alpha, p)
-    tau = om.to_quaternion() * QMatrix.scalar(p.total, Q_J)
+    tau = om * QMatrix.scalar(p.total, Q_J)
     assert conjugacy_residual(tau, aw, aw.inverse()).is_zero
 
 
@@ -262,7 +262,7 @@ def test_neg_reverser_i_certificates():
         a = jordan_block(gr(0, 1), n)
         assert is_involution(cert.g)
         assert conjugacy_residual(cert.g, a, -(a.inverse())).is_zero
-        assert cert.g == neg_reverser_i_matrix(n).to_quaternion()
+        assert cert.g == neg_reverser_i_matrix(n)
 
 
 def test_neg_reverser_i_matches_closed_form():
@@ -285,16 +285,15 @@ def test_neg_inverse_self_paired_class_stays_single():
     # get Omega(i) D each on the diagonal, never an antidiagonal pair
     spec = JordanSpec.of([(GR_I, 2), (GR_I, 2)])
     g = assemble_reverser(spec, target="neg-inverse").g
-    blk = neg_reverser_i_matrix(2).to_quaternion()
+    blk = neg_reverser_i_matrix(2)
     assert sub_block(g, 0, 0, 2) == blk and sub_block(g, 2, 2, 2) == blk
     assert sub_block(g, 0, 2, 2).is_zero and sub_block(g, 2, 0, 2).is_zero
 
 
 def neg_pair_oracle(lam1, lam2, n):
     """(B, partner block) from the Jordan chain of the partner block."""
-    p0 = single_block_conjugator(-(jordan_block(lam1, n).to_cmatrix()
-                                   .inverse()), lam2)
-    return p0.inverse().to_quaternion(), p0.to_quaternion()
+    p0 = single_block_conjugator(-(jordan_block(lam1, n).inverse()), lam2)
+    return p0.inverse(), p0
 
 
 NEG_PAIR_EIGENVALUES = [gr(1), gr(-1), gr(2), gr("-1/2"), gr("1/3"),
@@ -322,14 +321,13 @@ def test_neg_pair_blocks_match_jordan_chain_oracle(sweep_specs):
 
 
 def test_single_block_conjugator_frozen():
-    m = -(jordan_block(gr(2), 2).inverse().to_cmatrix())
+    m = -(jordan_block(gr(2), 2).inverse())
     p = single_block_conjugator(m, gr("-1/2"))
     assert p == cm([[4, 0], [0, 1]])
 
 
 def test_single_block_conjugator_rejects_split():
-    m = block_diagonal([jordan_block(gr(2), 1),
-                        jordan_block(gr(3), 1)]).to_cmatrix()
+    m = block_diagonal([jordan_block(gr(2), 1), jordan_block(gr(3), 1)])
     with pytest.raises(NotSingleBlock):
         single_block_conjugator(m, gr(2))
 
