@@ -2,7 +2,8 @@
 
 A ``JordanSpec`` lists blocks (eigenvalue class representative, size) and is
 normalized on construction: representatives get nonnegative imaginary part
-and blocks sort by (re, im, size descending).  The Weyr form dual to a
+and blocks sort by (re, im, size descending), compared in integers read
+off each eigenvalue's triple (``block_order``).  The Weyr form dual to a
 single-eigenvalue Jordan structure is realized by an explicit basis
 permutation: Jordan chains are enumerated longest first, then regrouped
 level by level.
@@ -31,10 +32,8 @@ class JordanSpec:
     def of(cls, blocks) -> "JordanSpec":
         normalized = []
         for lam, size in blocks:
-            if isinstance(lam, str):
-                lam = parse_complex(lam)
             if not isinstance(lam, GaussianRational):
-                lam = gr(lam)
+                lam = parse_complex(lam) if isinstance(lam, str) else gr(lam)
             if lam.is_zero:
                 raise SpecError("Jordan blocks must have nonzero eigenvalue")
             if (not isinstance(size, int) or isinstance(size, bool)
@@ -43,7 +42,7 @@ class JordanSpec:
             normalized.append((class_rep(lam), size))
         if not normalized:
             raise SpecError("spec must contain at least one block")
-        normalized.sort(key=lambda bl: (bl[0].re, bl[0].im, -bl[1]))
+        normalized.sort(key=block_order(normalized, -1))
         return cls(tuple(normalized))
 
     @property
@@ -86,6 +85,18 @@ class JordanSpec:
         return " + ".join(f"J({lam},{size})" for lam, size in self.blocks)
 
 
+def block_order(blocks, size_sign: int):
+    """A sort key on (lam, size) blocks that orders them exactly as
+    (re(lam), im(lam), size_sign * size) does, in integers: each lam =
+    (x + y i)/z is read as (x L/z, y L/z) for L the lcm of every z."""
+    lcm = math.lcm(*(lam._ints[2] for lam, _ in blocks))
+
+    def key(block):
+        (x, y, z), size = block[0]._ints, block[1]
+        return x * (lcm // z), y * (lcm // z), size_sign * size
+    return key
+
+
 def offsets(sizes) -> list[int]:
     """Start of each consecutive run of the given sizes."""
     return list(accumulate(sizes, initial=0))[:-1]
@@ -93,17 +104,14 @@ def offsets(sizes) -> list[int]:
 
 def _jordan(blocks) -> QMatrix:
     """Direct sum of J(lam, size) over (lam, size) in order, built in its
-    integer form over d, the lcm of every lam's denominators."""
-    d = math.lcm(*(f.denominator for lam, _ in blocks
-                   for f in (lam.re, lam.im)))
+    integer form over d, the lcm of every lam's denominator z."""
+    d = math.lcm(*(lam._ints[2] for lam, _ in blocks))
     n = sum(size for _, size in blocks)
     rows = [[None] * n for _ in range(n)]
     i = 0
     for lam, size in blocks:
-        re, im = lam.re, lam.im
-        diag = ((re.numerator * (d // re.denominator),
-                 im.numerator * (d // im.denominator), 0, 0)
-                if re or im else None)
+        x, y, z = lam._ints
+        diag = (x * (d // z), y * (d // z), 0, 0) if x or y else None
         for t in range(size):
             rows[i][i] = diag
             if t + 1 < size:

@@ -17,7 +17,7 @@ import operator
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .canonical import JordanSpec
+from .canonical import JordanSpec, block_order
 from .scalar import (GR_I, GaussianRational, class_rep_inverse,
                      class_rep_neg_inverse)
 
@@ -42,7 +42,7 @@ class Pairing:
 
 
 def _is_unit(lam: GaussianRational) -> bool:
-    x, y, z = lam._ratio()      # lam = (x + y i)/z in integers
+    x, y, z = lam._ints         # lam = (x + y i)/z in integers
     return x * x + y * y == z * z
 
 
@@ -90,7 +90,7 @@ def involution_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[st
     """Pairs for an involution conjugator: inverse partners as above, and
     non-real unit blocks with an equal block (their class is their own
     inverse class); only +-1 blocks stay single."""
-    return _pair_blocks(spec.blocks, lambda lam: lam.im == 0 and _is_unit(lam),
+    return _pair_blocks(spec.blocks, lambda lam: lam.is_real and _is_unit(lam),
                         class_rep_inverse)
 
 
@@ -109,11 +109,10 @@ def odd_unit_classes(spec: JordanSpec) -> list[tuple[GaussianRational, int]]:
     """(class, size) combinations of non-real unit classes with odd count."""
     counts: dict[tuple[GaussianRational, int], int] = {}
     for lam, size in spec.blocks:
-        if _is_unit(lam) and lam.im > 0:
+        if lam._ints[1] > 0 and _is_unit(lam):
             counts[(lam, size)] = counts.get((lam, size), 0) + 1
-    return [key for key, c in sorted(
-        counts.items(), key=lambda kv: (kv[0][0].re, kv[0][0].im, kv[0][1]))
-        if c % 2 == 1]
+    return sorted((block for block, c in counts.items() if c % 2 == 1),
+                  key=block_order(counts, 1))
 
 
 def is_strongly_reversible(spec: JordanSpec) -> bool:

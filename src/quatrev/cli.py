@@ -24,7 +24,7 @@ from .classify import classify_psl
 from .decompose import factorize, verify_certificate
 from .errors import (CertificateError, FlavorError, NotConstructible,
                      PairingError, QuatrevError, RankProfileError,
-                     SingularError)
+                     SingularError, clipped, quoted)
 from .matrix import QMatrix
 from .partitions import parse_partition, weyr_structure_of
 from .reversers import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
@@ -44,6 +44,13 @@ class _CliParseError(Exception):
     pass
 
 
+def _io_error(verb: str, path: str, exc: Exception) -> _CliParseError:
+    """"cannot VERB PATH: reason", the path clipped; an OSError's reason is
+    its strerror, without the path it repeats."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return _CliParseError(f"cannot {verb} {clipped(path)}: {reason}")
+
+
 def _read_text(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
@@ -53,7 +60,7 @@ def _read_text(arg: str) -> str:
         with open(arg, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise _CliParseError(f"cannot read {arg}: {exc}") from exc
+        raise _io_error("read", arg, exc) from exc
 
 
 _TOO_DEEP = "invalid JSON: nested too deeply"
@@ -87,7 +94,7 @@ def _parse_spec(arg: str) -> JordanSpec:
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     if body.strip() and not _COMPACT_BODY.fullmatch(body):
-        raise _CliParseError(f"bad spec literal {text!r}: expected "
+        raise _CliParseError(f"bad spec literal {quoted(text)}: expected "
                              "comma-separated (eigenvalue, size) blocks")
     blocks = []
     for match in _COMPACT_BLOCK.finditer(body):
@@ -96,9 +103,10 @@ def _parse_spec(arg: str) -> JordanSpec:
             head, tail = item.rsplit(",", 1)  # no comma: a ValueError
             blocks.append((parse_complex(head), parse_integer(tail.strip())))
         except ValueError as exc:
-            raise _CliParseError(f"bad block literal: ({item})") from exc
+            raise _CliParseError(
+                f"bad block literal: ({clipped(item)})") from exc
     if not blocks:
-        raise _CliParseError(f"no Jordan blocks found in {text!r}")
+        raise _CliParseError(f"no Jordan blocks found in {quoted(text)}")
     return JordanSpec.of(blocks)  # a SpecError exits 2 like a parse error
 
 
@@ -110,7 +118,8 @@ def _parse_scalar(text: str):
                                       for half in text.split(",", 1)))
         return parse_complex(text)
     except ValueError as exc:
-        raise _CliParseError(f"bad scalar literal {text!r}: {exc}") from exc
+        raise _CliParseError(
+            f"bad scalar literal {quoted(text)}: {exc}") from exc
 
 
 def _emit(obj, out_path):
@@ -122,7 +131,7 @@ def _emit(obj, out_path):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise _CliParseError(f"cannot write {out_path}: {exc}") from exc
+        raise _io_error("write", out_path, exc) from exc
 
 
 def _tolerance(text: str) -> float:
@@ -131,7 +140,7 @@ def _tolerance(text: str) -> float:
     if DECIMAL_RE.fullmatch(text) and (value := float(text)) < math.inf:
         return value
     raise argparse.ArgumentTypeError(
-        f"expected a finite number >= 0, got {text!r}")
+        f"expected a finite number >= 0, got {quoted(text)}")
 
 
 def _integer(text: str) -> int:
@@ -140,6 +149,18 @@ def _integer(text: str) -> int:
         return parse_integer(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _one_of(names):
+    """A flag's type for a fixed set of values: argparse's "invalid choice"
+    message, with the value quoted as every other echo of input is."""
+    def check(text: str) -> str:
+        if text in names:
+            return text
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {quoted(text)} "
+            f"(choose from {', '.join(map(repr, names))})")
+    return check
 
 
 def cmd_classify(args) -> tuple[int, dict]:
@@ -241,10 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, type=_tolerance)
 
     def kind(p):
-        p.add_argument("--target", default=TARGET_INVERSE,
-                       choices=[TARGET_INVERSE, TARGET_NEG_INVERSE])
-        p.add_argument("--flavor", default="any",
-                       choices=["any", FLAVOR_INVOLUTION, FLAVOR_SKEW])
+        for flag, names in (("--target", (TARGET_INVERSE, TARGET_NEG_INVERSE)),
+                            ("--flavor", ("any", FLAVOR_INVOLUTION,
+                                          FLAVOR_SKEW))):
+            p.add_argument(flag, default=names[0], type=_one_of(names),
+                           metavar="{" + ",".join(names) + "}")
 
     p = sub.add_parser("classify", help="reversibility flags of a spec or "
                        "float matrix")

@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cap on how much of
+an input their messages quote."""
+
+# input echoed into an error message is cut to this many characters
+QUOTE_LIMIT = 64
+
+
+def clipped(text: str) -> str:
+    """text, cut to ``QUOTE_LIMIT`` characters with "..." appended if longer:
+    an error message stays short however long the input it names."""
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message, cut as ``clipped`` cuts it."""
+    return clipped(repr(value))
 
 
 class QuatrevError(Exception):

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .canonical import JordanSpec
-from .errors import PairingError, RankProfileError, SingularError
+from .errors import PairingError, RankProfileError, SingularError, clipped
 from .matrix import QMatrix
 from .partitions import Partition, WeyrStructure
 from .scalar import GaussianRational, gr
@@ -74,6 +74,8 @@ def float_matrix_from_json(obj) -> np.ndarray:
         arr = np.asarray(obj["entries"], dtype=float)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"float matrix fields must be numbers: {exc}") from exc
+    except ValueError as exc:  # numpy's message quotes the whole string
+        raise ValueError(clipped(str(exc))) from exc
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 4:
         raise ValueError("float matrix entries must form an n x n x 4 array")
     # numpy reads "1_0", " 2 " and true as floats too

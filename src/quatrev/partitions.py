@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .errors import SpecError
+from .errors import SpecError, quoted
 from .scalar import parse_integer
 
 
@@ -99,4 +99,4 @@ def parse_partition(text: str) -> Partition:
                 for item in s[1:-1].split(","))
         return Partition.of([parse_integer(x.strip()) for x in s.split(",")])
     except ValueError as exc:
-        raise SpecError(f"bad partition literal: {text!r}") from exc
+        raise SpecError(f"bad partition literal: {quoted(text)}") from exc

@@ -47,7 +47,7 @@ from .canonical import JordanSpec, jordan_block, jordan_matrix, offsets
 from .classify import (involution_pairing, inverse_pairing,
                        neg_inverse_pairing, odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
-                     SpecError)
+                     SpecError, quoted)
 from .matrix import QMatrix, block_diagonal, conjugator_checks, place_blocks
 from .scalar import GR_I, GaussianRational
 
@@ -114,9 +114,11 @@ class Certificate:
         if not isinstance(obj, dict) or not {"target", "flavor", "g"} <= set(obj):
             raise ValueError("not a certificate object")
         if obj["target"] not in TARGETS:
-            raise ValueError(f"unknown certificate target {obj['target']!r}")
+            raise ValueError(
+                f"unknown certificate target {quoted(obj['target'])}")
         if obj["flavor"] not in FLAVORS:
-            raise ValueError(f"unknown certificate flavor {obj['flavor']!r}")
+            raise ValueError(
+                f"unknown certificate flavor {quoted(obj['flavor'])}")
         checks = obj.get("checks", {})
         if not isinstance(checks, dict):
             raise ValueError("certificate checks must be an object")
@@ -166,9 +168,9 @@ def check_certificate(g: QMatrix, a: QMatrix, target: str,
 def _kind_checks(g: QMatrix, a: QMatrix, target: str, flavor: str):
     """``conjugator_checks`` with the signs of the kind (target, flavor)."""
     if target not in _RESIDUAL_SIGN:
-        raise DomainError(f"unknown target {target!r}")
+        raise DomainError(f"unknown target {quoted(target)}")
     if flavor not in _SQUARE_SIGN:
-        raise DomainError(f"unknown flavor {flavor!r}")
+        raise DomainError(f"unknown flavor {quoted(flavor)}")
     return conjugator_checks(g, a, _RESIDUAL_SIGN[target],
                              _SQUARE_SIGN[flavor])
 
@@ -191,14 +193,7 @@ def _inverse_powers(lam: GaussianRational, top: int):
     0 <= t <= top, all ints over one den = q^top, from one table of integer
     powers: 1/lam = (a + b i)/q gives lam^(-t) = (a + b i)^t q^(top-t) / den.
     """
-    re, im = lam.re, lam.im
-    d = math.lcm(re.denominator, im.denominator)
-    x = re.numerator * (d // re.denominator)
-    y = im.numerator * (d // im.denominator)
-    # 1/lam = d (x - y i) / (x^2 + y^2), reduced to lowest terms over q
-    norm = x * x + y * y
-    g = math.gcd(norm, d * x, d * y)
-    a, b, q = d * x // g, -d * y // g, norm // g
+    a, b, q = lam.inverse()._ints
     power = [(1, 0)]
     for _ in range(top):
         u, v = power[-1]
@@ -384,9 +379,9 @@ def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
     Raises ``NotConstructible`` naming the failing criterion.
     """
     if target not in TARGETS:
-        raise DomainError(f"unknown target {target!r}")
+        raise DomainError(f"unknown target {quoted(target)}")
     if flavor not in ("any", FLAVOR_INVOLUTION, FLAVOR_SKEW):
-        raise DomainError(f"unknown flavor {flavor!r}")
+        raise DomainError(f"unknown flavor {quoted(flavor)}")
 
     if flavor != "any" and (target, flavor) not in _KINDS:
         raise NotConstructible(

@@ -1,22 +1,30 @@
 """Exact scalar tower: rationals, complex rationals, and rational quaternions.
 
 Rationals are stdlib ``fractions.Fraction`` (arbitrary precision, always
-reduced, positive denominator).  On top of those sit ``GaussianRational``
-(exact complex numbers) and ``Quaternion`` (exact quaternions with the
-Hamilton product).  Quaternionic spaces are treated as right modules
-throughout the package, so similarity classes of eigenvalues are represented
-by the unique complex number in the class with nonnegative imaginary part.
-``GaussianRational.norm_sq`` and ``inverse`` are computed in integers from
-re + im i = (x + y i)/z, one Fraction per returned component.
+reduced, positive denominator).  A ``GaussianRational`` (exact complex
+number) is one integer triple (x, y, z) meaning (x + y i)/z in lowest terms,
+z > 0 and gcd(x, y, z) = 1: its equality, hash, arithmetic, inverse, class
+representative and unit test work on the triple's integers, and its ``re``
+and ``im`` are Fractions made from the triple when read.  ``Quaternion``
+(exact quaternions with the Hamilton product) holds four Fractions.
+Quaternionic spaces are treated as right modules throughout the package,
+so similarity classes of eigenvalues are represented by the unique complex
+number in the class with nonnegative imaginary part.
+Binary operators of both types take only operands of their own type: for
+any other they return NotImplemented, so ``gr(1) * 2`` and ``quat(1) + 1``
+raise TypeError and ``gr(1) == 1`` is False.
 Every number read from text matches one ASCII pattern whole, nothing
 deleted from inside it: integers, rationals, complex literals built from
 the rational pattern, and the float tolerances' decimals (``DECIMAL_RE``).
 """
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import quoted
 
 _INTEGER_RE = _re.compile(r"[+-]?[0-9]+")
 _RATIONAL_RE = _re.compile(rf"({_INTEGER_RE.pattern})(?:/([1-9][0-9]*))?")
@@ -35,7 +43,7 @@ DECIMAL_RE = _re.compile(
 def parse_integer(text: str) -> int:
     """ASCII digits after an optional sign, nothing around them."""
     if not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"not an integer literal: {text!r}")
+        raise ValueError(f"not an integer literal: {quoted(text)}")
     return int(text)
 
 
@@ -44,7 +52,7 @@ def rational_ints(text: str) -> tuple[int, int]:
     as written: not reduced.  ASCII digits only, nothing around them."""
     m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None:
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {quoted(text)}")
     p, q = m.groups()
     return int(p), int(q) if q else 1
 
@@ -58,7 +66,7 @@ def quaternion_ints(obj) -> tuple[tuple[int, int], ...]:
     """The four (p, q) pairs of a quaternion's wire form, a list of four
     rational literals, each as ``rational_ints`` reads it."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-        raise ValueError(f"not a quaternion array: {obj!r}")
+        raise ValueError(f"not a quaternion array: {quoted(obj)}")
     return tuple(map(rational_ints, obj))
 
 
@@ -76,51 +84,102 @@ def _coerce_rational(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    raise TypeError(f"cannot interpret {quoted(x)} as an exact rational")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number re + im*i with rational parts."""
+    """Exact complex number (x + y i)/z held as one integer triple.
 
-    re: Fraction
-    im: Fraction
+    The triple is in lowest terms: z > 0 and gcd(x, y, z) = 1, so equal
+    numbers have equal triples and ``==`` and ``hash`` compare triples.
+    ``re`` and ``im`` are read-only Fractions made from the triple on each
+    read.  Instances are immutable.  Binary operators take only
+    GaussianRational operands: for any other type they return
+    NotImplemented, so ``gr(1) * 2`` raises TypeError and ``gr(1) == 1`` is
+    False.
+    """
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+    __slots__ = ("_ints",)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+    def __init__(self, re, im):
+        """re + im*i for rationals re and im (Fractions or ints)."""
+        # over the lcm of the two reduced denominators, gcd(x, y, z) = 1
+        b, d = re.denominator, im.denominator
+        z = math.lcm(b, d)
+        x, y = re.numerator * (z // b), im.numerator * (z // d)
+        object.__setattr__(self, "_ints", (x, y, z))
+
+    def __setattr__(self, *args):
+        raise AttributeError("complex rationals are immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def re(self) -> Fraction:
+        x, _, z = self._ints
+        return Fraction(x, z)
+
+    @property
+    def im(self) -> Fraction:
+        _, y, z = self._ints
+        return Fraction(y, z)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._ints == other._ints
+
+    def __hash__(self):
+        return hash(self._ints)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def _sum(self, other, sign):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        x1, y1, z1 = self._ints
+        x2, y2, z2 = other._ints
+        return _lowest(x1 * z2 + sign * x2 * z1, y1 * z2 + sign * y2 * z1,
+                       z1 * z2)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        x, y, z = self._ints
+        return _from_lowest(-x, -y, z)
 
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+    def __mul__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        x1, y1, z1 = self._ints
+        x2, y2, z2 = other._ints
+        return _lowest(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2)
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
+    def __truediv__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         return self * other.inverse()
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def _ratio(self) -> tuple[int, int, int]:
-        """(x, y, z) with self = (x + y i)/z: x = a d, y = c b, z = b d
-        for re = a/b and im = c/d."""
-        b, d = self.re.denominator, self.im.denominator
-        return self.re.numerator * d, self.im.numerator * b, b * d
+        x, y, z = self._ints
+        return _from_lowest(x, -y, z)
 
     def norm_sq(self) -> Fraction:
-        x, y, z = self._ratio()
+        x, y, z = self._ints
         return Fraction(x * x + y * y, z * z)
 
     def inverse(self) -> "GaussianRational":
-        x, y, z = self._ratio()
+        """z (x - y i) / (x^2 + y^2); ZeroDivisionError at zero."""
+        x, y, z = self._ints
         n = x * x + y * y
-        return GaussianRational(Fraction(x * z, n), Fraction(-y * z, n))
+        if not n:
+            raise ZeroDivisionError("zero has no inverse")
+        return _lowest(z * x, -z * y, n)
 
     def power(self, k: int) -> "GaussianRational":
         """Integer power (negative exponents via the exact inverse)."""
@@ -132,17 +191,19 @@ class GaussianRational:
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._ints[1]
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        x, y, _ = self._ints
+        return not (x or y)
 
     def to_quaternion(self) -> "Quaternion":
         return Quaternion(self.re, self.im, _ZERO, _ZERO)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        x, y, z = self._ints
+        return complex(x / z, y / z)
 
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
@@ -150,20 +211,30 @@ class GaussianRational:
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
         if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
-            raise ValueError(f"not a complex rational object: {obj!r}")
+            raise ValueError(f"not a complex rational object: {quoted(obj)}")
         return cls(parse_rational(obj["re"]), parse_rational(obj["im"]))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.im > 0:
-            sign, mag = "+", self.im
-        else:
-            sign, mag = "-", -self.im
-        imtxt = "i" if mag == 1 else f"{mag}i"
-        if self.re == 0:
-            return imtxt if sign == "+" else f"-{imtxt}"
-        return f"{self.re}{sign}{imtxt}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imtxt = "i" if abs(im) == 1 else f"{abs(im)}i"
+        if not re:
+            return imtxt if im > 0 else f"-{imtxt}"
+        return f"{re}{'+' if im > 0 else '-'}{imtxt}"
+
+
+def _lowest(x, y, z) -> GaussianRational:
+    """(x + y i)/z for integers x, y and z > 0, brought to lowest terms."""
+    g = math.gcd(x, y, z)
+    return _from_lowest(x // g, y // g, z // g)
+
+
+def _from_lowest(x, y, z) -> GaussianRational:
+    """(x + y i)/z for a triple already in lowest terms."""
+    out = object.__new__(GaussianRational)
+    object.__setattr__(out, "_ints", (x, y, z))
+    return out
 
 
 def gr(re, im=0) -> GaussianRational:
@@ -181,7 +252,7 @@ def parse_complex(text: str) -> GaussianRational:
     "2*i", "3/5 + 4/5 i"; it matches ``_COMPLEX_RE`` whole or is refused."""
     m = _COMPLEX_RE.fullmatch(text)
     if m is None:
-        raise ValueError(f"not a complex literal: {text!r}")
+        raise ValueError(f"not a complex literal: {quoted(text)}")
     if m["real"]:
         return gr(m["real"])
     return gr(m["re"] or 0, (m["op"] or m["sign"]) + (m["im"] or "1"))
@@ -189,7 +260,12 @@ def parse_complex(text: str) -> GaussianRational:
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Exact quaternion a + b*i + c*j + d*k with rational coefficients."""
+    """Exact quaternion a + b*i + c*j + d*k with rational coefficients.
+
+    Binary operators take only Quaternion operands: for any other type they
+    return NotImplemented, so ``quat(1) + 1`` raises TypeError and
+    ``quat(1) == 1`` is False.
+    """
 
     a: Fraction
     b: Fraction
@@ -197,10 +273,14 @@ class Quaternion:
     d: Fraction
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         return Quaternion(self.a + other.a, self.b + other.b,
                           self.c + other.c, self.d + other.d)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         return Quaternion(self.a - other.a, self.b - other.b,
                           self.c - other.c, self.d - other.d)
 
@@ -208,6 +288,8 @@ class Quaternion:
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         return Quaternion(
@@ -276,13 +358,11 @@ Q_K = quat(0, 0, 0, 1)
 
 def class_rep(lam: GaussianRational) -> GaussianRational:
     """Representative of the similarity class of lam: imaginary part >= 0."""
-    return lam if lam.im >= 0 else lam.conjugate()
+    return lam if lam._ints[1] >= 0 else lam.conjugate()
 
 
 def class_rep_inverse(lam: GaussianRational) -> GaussianRational:
     """Representative of the class of lam^{-1}; equals lam/|lam|^2 when im(lam) >= 0."""
-    if lam.is_zero:
-        raise ZeroDivisionError("zero has no inverse class")
     return class_rep(lam.inverse())
 
 
@@ -292,6 +372,4 @@ def class_rep_neg_inverse(lam: GaussianRational) -> GaussianRational:
     For im(lam) >= 0 this is (-re(lam) + im(lam)*i) / |lam|^2; it equals lam
     exactly when lam = i, the only class fixed by negated inversion.
     """
-    if lam.is_zero:
-        raise ZeroDivisionError("zero has no inverse class")
     return class_rep(-lam.inverse())

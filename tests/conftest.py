@@ -2,10 +2,12 @@
 independent oracles for the library's closed forms and checks."""
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from quatrev.canonical import JordanSpec, jordan_block, jordan_matrix
 from quatrev.classify import (involution_pairing, inverse_pairing,
@@ -71,17 +73,88 @@ def rand_invertible(rng, n, lo=-2, hi=2) -> QMatrix:
             return m
 
 
+@dataclass(frozen=True)
+class PairModel:
+    """A complex rational as the pair of Fractions (re, im), with every
+    operation written by Fraction arithmetic: the naive model that
+    ``GaussianRational``'s integer triple must agree with."""
+
+    re: Fraction
+    im: Fraction
+
+    @classmethod
+    def of(cls, lam: GaussianRational) -> "PairModel":
+        return cls(lam.re, lam.im)
+
+    def exact(self) -> GaussianRational:
+        return GaussianRational(self.re, self.im)
+
+    def __add__(self, other):
+        return PairModel(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return PairModel(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return PairModel(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def __neg__(self):
+        return PairModel(-self.re, -self.im)
+
+    def conjugate(self):
+        return PairModel(self.re, -self.im)
+
+    def norm_sq(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm_sq()
+        return PairModel(self.re / n, -self.im / n)
+
+    def class_rep(self):
+        return self if self.im >= 0 else self.conjugate()
+
+    def text(self) -> str:
+        if self.im == 0:
+            return str(self.re)
+        mag = abs(self.im)
+        imtxt = "i" if mag == 1 else f"{mag}i"
+        if self.re == 0:
+            return imtxt if self.im > 0 else f"-{imtxt}"
+        return f"{self.re}{'+' if self.im > 0 else '-'}{imtxt}"
+
+    def to_json(self) -> dict:
+        return {"re": str(self.re), "im": str(self.im)}
+
+
+# rational parts with hostile denominators: 2^60 +- 1, 2^60, 3^38, small
+# ones and zero parts
+HOSTILE_DENOMINATORS = (2**60 - 1, 2**60, 2**60 + 1, 3**38)
+hostile_parts = (
+    st.just(Fraction(0))
+    | st.builds(Fraction,
+                st.integers(-9, 9) | st.integers(-2**64, 2**64)
+                | st.sampled_from([2**60 + 1, -(2**60 - 1), 3**38, -3**38]),
+                st.integers(1, 12) | st.sampled_from(HOSTILE_DENOMINATORS)))
+
+
+def circle_point(m, k) -> GaussianRational:
+    """((m^2 - k^2) + 2mk i) / (m^2 + k^2), a point of modulus 1."""
+    q = m * m + k * k
+    return GaussianRational(Fraction(m * m - k * k, q), Fraction(2 * m * k, q))
+
+
 def naive_norm_sq(lam: GaussianRational) -> Fraction:
     """re^2 + im^2 by chained Fraction products; independent oracle for
     ``GaussianRational.norm_sq``."""
-    return lam.re * lam.re + lam.im * lam.im
+    return PairModel.of(lam).norm_sq()
 
 
 def naive_gr_inverse(lam: GaussianRational) -> GaussianRational:
     """conj(lam) / |lam|^2 by Fraction divisions; independent oracle for
     ``GaussianRational.inverse``."""
-    n = naive_norm_sq(lam)
-    return GaussianRational(lam.re / n, -lam.im / n)
+    return PairModel.of(lam).inverse().exact()
 
 
 def naive_mul(x, y):

@@ -1,14 +1,17 @@
 """Jordan and Weyr canonical forms and the change of basis between them."""
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import rng_for
+from conftest import circle_point, hostile_parts, rng_for
+from quatrev.classify import odd_unit_classes
 from quatrev.canonical import (JordanSpec, basic_weyr_matrix, jordan_block,
                                jordan_matrix, jordan_weyr_permutation,
                                weyr_centralizer_sample)
 from quatrev.errors import SpecError
 from quatrev.matrix import QMatrix
 from quatrev.partitions import Partition, weyr_structure_of
-from quatrev.scalar import GR_I, Q_ONE, Q_ZERO, gr, quat
+from quatrev.scalar import (GR_I, Q_ONE, Q_ZERO, GaussianRational,
+                            class_rep, gr, quat)
 
 
 def test_jordan_block_frozen():
@@ -25,6 +28,35 @@ def test_spec_normalizes_and_sorts():
     assert [(str(lam), s) for lam, s in spec.blocks] == \
         [("1+i", 3), ("1+i", 2), ("2", 1)]
     assert spec.total_size == 6
+
+
+# eigenvalues with hostile denominators, repeated values and unit classes
+_eigenvalue = (st.builds(GaussianRational, hostile_parts, hostile_parts)
+               | st.sampled_from([gr(2), gr("1/2"), gr("3/5", "4/5"),
+                                  gr("3/5", "-4/5"), gr(0, 1), gr(-1)])
+               | st.builds(circle_point, st.integers(-2**31, 2**31),
+                           st.integers(-2**31, 2**31).filter(bool)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_eigenvalue, st.integers(1, 3)), min_size=1,
+                max_size=8))
+def test_spec_order_is_the_fraction_order(blocks):
+    """``JordanSpec.of`` orders blocks exactly as sorting by the Fraction
+    key (re, im, -size) does, and ``odd_unit_classes`` as (re, im, size)."""
+    blocks = [(lam, s) for lam, s in blocks if not lam.is_zero]
+    assume(blocks)
+    reps = [(class_rep(lam), s) for lam, s in blocks]
+    spec = JordanSpec.of(blocks)
+    assert list(spec.blocks) == sorted(
+        reps, key=lambda bl: (bl[0].re, bl[0].im, -bl[1]))
+    counts = {}
+    for lam, s in reps:
+        if lam.im > 0 and lam.norm_sq() == 1:
+            counts[(lam, s)] = counts.get((lam, s), 0) + 1
+    assert odd_unit_classes(spec) == sorted(
+        (bl for bl, c in counts.items() if c % 2),
+        key=lambda bl: (bl[0].re, bl[0].im, bl[1]))
 
 
 def test_spec_string_input_and_json():

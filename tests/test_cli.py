@@ -411,9 +411,14 @@ def test_verify_singular_matrix_reports_failure():
                                "det_one": True, "ok": False}
 
 
+# an error line quotes at most two clipped inputs: 512 bytes hold them
+ERR_LINE_BYTES = 512
+
+
 def _one_line_error(err):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert len(err.encode("utf-8")) <= ERR_LINE_BYTES, err[:200]
 
 
 def test_compact_spec_must_be_blocks_only():
@@ -546,9 +551,29 @@ _compact_spec = st.lists(
               st.integers(-1, 12)),
     max_size=3).map(lambda blocks: "[" + ",".join(
         f"({lam},{size})" for lam, size in blocks) + "]")
+class _Long(str):
+    """A long text value whose repr is short, so that a failing example
+    is reported without echoing all of it."""
+
+    def __repr__(self):
+        return f"_Long({str.__repr__(self[:24])}... {len(self)} chars)"
+
+
+# values far longer than an error message may quote: a run of one
+# character, a spec block, a spec JSON and a matrix entry
+_LONG = 100_000
+_long_value = (
+    st.builds(lambda c, k: _Long(c * k),
+              st.sampled_from(["x", "(", "[", "{", " ", "-", "é", "\n"]),
+              st.sampled_from([65, _LONG]))
+    | st.sampled_from([_Long(text) for text in (
+        "[(" + "x" * _LONG + ",1)]",
+        json.dumps({"blocks": [{"re": "x" * _LONG, "im": "0", "size": 1}]}),
+        json.dumps({"n": 1, "m": 1,
+                    "entries": [[["1", "0", "0", "0", "x" * _LONG]]]}))]))
 _any_value = st.one_of(
     st.text(max_size=24).filter(lambda t: "/" not in t and "\\" not in t),
-    _json_doc, _compact_spec,
+    _json_doc, _compact_spec, _long_value,
     st.sampled_from(["-", "", ".", "general", "1e-9", "nan", "-inf", "-1"]),
 ).filter(_sizes_at_most_12)
 _inputs = st.sampled_from(_GOLDEN_INPUTS)
@@ -606,7 +631,8 @@ def _hostile_argv(draw):
 def test_cli_hostile_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
     """Any text or JSON for any flag of any subcommand, in process: the exit
     code (argparse's included) is 0, 2, 3, 4 or 5, no exception escapes,
-    and stderr holds at most one line and no traceback.
+    and stderr holds at most one line of at most ``ERR_LINE_BYTES`` bytes
+    and no traceback, however long the input.
 
     Drawn values and stdin carry no number above 12, so ``--n`` and every
     spec block size stay at most 12; drawn text holds no path separator, so
@@ -626,6 +652,7 @@ def test_cli_hostile_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
                         EXIT_NOT_CONSTRUCTIBLE, EXIT_VERIFY_FAILED}, argv
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) <= 1, (argv, err)
+        assert len(err.encode("utf-8")) <= ERR_LINE_BYTES, err[:200]
 
     check()
 
@@ -728,3 +755,17 @@ def test_entry_beyond_the_int_to_str_limit_is_one_line_exit_2():
         assert code == EXIT_OK and json.loads(out)["n"] == 22
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_long_input_is_quoted_clipped(tmp_path):
+    """A 100,000-character matrix entry exits 2 with one line that quotes
+    a clipped prefix of it, ending in "...": the error names the input
+    without echoing all of it."""
+    f = tmp_path / "long.json"
+    f.write_text(json.dumps({"n": 1, "m": 1, "entries": [
+        [["1", "0", "0", "0", "x" * _LONG]]]}), encoding="utf-8")
+    code, out, err = run("verify", "--matrix", str(f), "--cert", str(f))
+    assert (code, out) == (EXIT_PARSE, "")
+    _one_line_error(err)
+    assert err.startswith("error: not a quaternion array: ['1', '0', '0'")
+    assert err.endswith("xxx...\n")

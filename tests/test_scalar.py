@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import naive_gr_inverse, naive_norm_sq
+from conftest import (PairModel, circle_point, hostile_parts,
+                      naive_gr_inverse, naive_norm_sq)
+from quatrev.canonical import JordanSpec
 from quatrev.classify import _is_unit
 from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, GaussianRational,
                             Q_I, Q_J, Q_K, Q_ONE, Quaternion, class_rep,
@@ -296,15 +298,9 @@ _big_parts = st.builds(
     | st.sampled_from([2**60 - 1, 2**60, 2**60 + 1, 2**60 + 3]))
 
 
-def _circle_point(m, k):
-    """((m^2 - k^2) + 2mk i) / (m^2 + k^2), a point of modulus 1."""
-    q = m * m + k * k
-    return GaussianRational(Fraction(m * m - k * k, q), Fraction(2 * m * k, q))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.builds(GaussianRational, _big_parts, _big_parts)
-       | st.builds(_circle_point, st.integers(-2**29, 2**29),
+       | st.builds(circle_point, st.integers(-2**29, 2**29),
                    st.integers(1, 2**29)))
 @example(GR_ZERO)
 @example(GaussianRational(Fraction(0), Fraction(-3, 2**60 + 3)))
@@ -321,3 +317,103 @@ def test_integer_norm_and_inverse_match_fraction_chain(lam):
     inv = lam.inverse()
     assert inv == naive_gr_inverse(lam)
     assert lam * inv == GR_ONE
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_parts, hostile_parts, hostile_parts, hostile_parts)
+@example(Fraction(0), Fraction(0), Fraction(1, 2**60 + 1), Fraction(0))
+@example(Fraction(3, 2**60 - 1), Fraction(-5, 3**38),
+         Fraction(3, 2**60 - 1), Fraction(-5, 3**38))
+@example(Fraction(1, 2**60), Fraction(1, 2**60), Fraction(0), Fraction(-1))
+def test_integer_triple_agrees_with_fraction_pair_model(a, b, c, d):
+    """The triple (x, y, z) and the Fraction pair (re, im) are one number:
+    equality, hash, parts, arithmetic, inverse, norm, class
+    representative, text and JSON agree with the naive model."""
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    mx, my = PairModel(a, b), PairModel(c, d)
+    assert PairModel.of(x) == mx
+    assert (x == y) == (mx == my)
+    if x == y:
+        assert hash(x) == hash(y)
+    # one number reached along other paths has the same triple and hash
+    for same in (x + y - y, -(-x), x.conjugate().conjugate(),
+                 GaussianRational(Fraction(2 * a.numerator, 2 * a.denominator),
+                                  b)):
+        assert same == x and hash(same) == hash(x)
+    assert PairModel.of(x + y) == mx + my
+    assert PairModel.of(x - y) == mx - my
+    assert PairModel.of(x * y) == mx * my
+    assert PairModel.of(-x) == -mx
+    assert PairModel.of(x.conjugate()) == mx.conjugate()
+    assert x.norm_sq() == mx.norm_sq()
+    assert x.is_zero == (mx.norm_sq() == 0)
+    assert x.is_real == (b == 0)
+    assert PairModel.of(class_rep(x)) == mx.class_rep()
+    assert str(x) == mx.text()
+    assert x.to_json() == mx.to_json()
+    assert GaussianRational.from_json(x.to_json()) == x
+    if x.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert PairModel.of(x.inverse()) == mx.inverse()
+    assert PairModel.of(y / x) == my * mx.inverse()
+
+
+def test_triple_reads_make_no_fraction(monkeypatch):
+    """Equality, hashing, class_rep, inverse and the sort in
+    ``JordanSpec.of`` work on the integer triple alone."""
+    lam, half = gr("3/5", "-4/5"), gr("-1/2")
+    mu = gr(2**60 + 1, Fraction(1, 3**38))
+    blocks = [(lam, 2), (mu, 1), (half, 3), (lam, 3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert lam != mu and lam == lam.conjugate().conjugate()
+    assert len({lam, mu, lam.conjugate().conjugate()}) == 2
+    assert class_rep(lam) == lam.conjugate()
+    assert class_rep_inverse(lam) == class_rep(lam.inverse())
+    assert mu.inverse().inverse() == mu
+    assert JordanSpec.of(blocks).blocks == ((half, 3), (lam.conjugate(), 3),
+                                            (lam.conjugate(), 2), (mu, 1))
+
+
+_MIXED = {"gr(1)*2": lambda: gr(1) * 2, "2*gr(1)": lambda: 2 * gr(1),
+          "gr(1)+1": lambda: gr(1) + 1, "1+gr(1)": lambda: 1 + gr(1),
+          "gr(1)-1": lambda: gr(1) - 1, "gr(1)/2": lambda: gr(1) / 2,
+          "gr(1)*1/2": lambda: gr(1) * Fraction(1, 2),
+          "gr(1)+quat(1)": lambda: gr(1) + quat(1),
+          "quat(1)*2": lambda: quat(1) * 2,
+          "2*quat(1)": lambda: 2 * quat(1),
+          "quat(1)+1": lambda: quat(1) + 1,
+          "1+quat(1)": lambda: 1 + quat(1),
+          "quat(1)-1": lambda: quat(1) - 1,
+          "quat(1)*gr(1)": lambda: quat(1) * gr(1)}
+
+
+@pytest.mark.parametrize("apply", _MIXED.values(), ids=_MIXED.keys())
+def test_binary_operators_refuse_other_types(apply):
+    """Every binary operator of both scalar types returns NotImplemented
+    for an operand of another type, so Python raises TypeError."""
+    with pytest.raises(TypeError):
+        apply()
+
+
+def test_scalars_never_equal_other_types():
+    assert (gr(1) == 1) is False and (gr(1) != 1) is True
+    assert (gr(1) == Fraction(1)) is False and (1 == gr(1)) is False
+    assert (quat(1) == 1) is False and (quat(1) != 1) is True
+    assert (gr(1) == quat(1)) is False
+
+
+def test_gaussian_rational_is_immutable():
+    x = gr(1, 2)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(3)
+    with pytest.raises(AttributeError):
+        x._ints = (3, 0, 1)
+    with pytest.raises(AttributeError):
+        del x._ints
+    assert x == gr(1, 2)
