@@ -47,7 +47,8 @@ from .classify import (Classification, classify_psl, involution_pairing,
 from .reversers import (Certificate, ReversibleShape, assemble_reverser,
                         block_reverser, certify, neg_reverser_i_matrix,
                         shape_matrix, shape_reverser, weyr_reverser)
-from .decompose import (Factorization, VerifyReport, factorize,
+from .check import VerifyReport
+from .decompose import (Factorization, factorize,
                         product_involution_skew, product_two_involutions,
                         product_two_skew_involutions, verify_certificate)
 from . import errors

@@ -21,7 +21,8 @@ import sys
 
 from .canonical import JordanSpec, jordan_matrix
 from .classify import classify_psl
-from .decompose import factorize, verify_certificate
+from .check import verify
+from .decompose import factorize
 from .errors import (CertificateError, FlavorError, NotConstructible,
                      PairingError, QuatrevError, RankProfileError,
                      SingularError, clipped, quoted)
@@ -199,16 +200,16 @@ def cmd_certify(args) -> tuple[int, dict]:
     return EXIT_OK, out
 
 
-def _load_matrix_and_cert(args) -> tuple[QMatrix, Certificate]:
+def _read_inputs(args, read):
+    """read(--matrix document, --cert document); a ValueError exits 2."""
     try:
-        return (QMatrix.from_json(_load_json(args.matrix)),
-                Certificate.from_json(_load_json(args.cert)))
+        return read(_load_json(args.matrix), _load_json(args.cert))
     except ValueError as exc:
         raise _CliParseError(str(exc)) from exc
 
 
 def cmd_verify(args) -> tuple[int, dict]:
-    report = verify_certificate(*_load_matrix_and_cert(args))
+    report = _read_inputs(args, verify)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED, report.to_json()
 
 
@@ -220,7 +221,8 @@ def cmd_decompose(args) -> tuple[int, dict]:
                                  flavor=args.flavor or "any")
     elif (args.jordan is None and None not in (args.matrix, args.cert)
           and (args.target, args.flavor) == (None, None)):
-        a, cert = _load_matrix_and_cert(args)
+        a, cert = _read_inputs(args, lambda m, c: (QMatrix.from_json(m),
+                                                   Certificate.from_json(c)))
     else:
         raise _CliParseError(
             "decompose needs either --jordan (with optional --target and "
@@ -241,10 +243,20 @@ def cmd_weyr(args) -> tuple[int, dict]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors end in one line and exit 2, like every other error."""
+    """Usage errors end in one line and exit 2, like every other error, each
+    argument they echo clipped as ``errors.clipped`` clips input."""
 
-    def error(self, message):
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {_one_line(message)}\n")
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
+
+    def error(self, text):
+        # an echo is an argument, or its value after "=" or a one-letter flag
+        echoes = {e for a in self._argv
+                  for e in (a, a.partition("=")[2], a[2:]) if clipped(e) != e}
+        for e in sorted(echoes, key=len, reverse=True):
+            text = text.replace(repr(e), quoted(e)).replace(e, clipped(e))
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {_one_line(text)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,20 +7,20 @@ h^2 = I gives A = (Ah) h and (Ah)^2 = (AhA) h = -I.  That one check stands
 for the factor squares and the product.  Each split is read from the kind
 table in ``reversers``; other kinds ("general", or a skew-involution for
 the negated inverse) give no factorization.  ``factorize``, the one place
-a certificate is split, makes the check ``verify_certificate`` makes, for
-every kind, and keeps the first product of the residual, g A for the
-inverse (A (g A)) and A g for the negated inverse ((A g) A): that is the
-factor gA or Ah, so the split multiplies nothing.
+a certificate is split, and ``verify_certificate`` both call ``check.check``;
+``factorize`` keeps the first product of the residual, g A for the inverse
+(A (g A)) and A g for the negated inverse ((A g) A): that is the factor gA
+or Ah, so the split multiplies nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .check import (FLAVOR_GENERAL, FLAVOR_INVOLUTION, FLAVOR_SKEW,
+                    TARGET_INVERSE, TARGET_NEG_INVERSE, VerifyReport, check)
 from .errors import CertificateError, FlavorError
 from .matrix import QMatrix
-from .reversers import (_KINDS, Certificate, FLAVOR_GENERAL, FLAVOR_INVOLUTION,
-                        FLAVOR_SKEW, TARGET_INVERSE, TARGET_NEG_INVERSE,
-                        VerifyReport, _kind_checks, check_certificate)
+from .reversers import _KINDS, Certificate
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,14 @@ class Factorization:
 
 def verify_certificate(a: QMatrix, cert: Certificate) -> VerifyReport:
     """Recompute every certificate check from scratch against A."""
-    return check_certificate(cert.g, a, cert.target, cert.flavor)
+    return check(cert.g._ints, a._ints, cert.target, cert.flavor)[0]
 
 
 def factorize(a: QMatrix, cert: Certificate) -> Factorization:
     """A = s1 s2 read off a certificate that passes ``verify_certificate``;
     the factor other than +-g is the product the residual check formed."""
-    checks, first = _kind_checks(cert.g, a, cert.target, cert.flavor)
-    if not all(checks):
+    report, first = check(cert.g._ints, a._ints, cert.target, cert.flavor)
+    if not report.ok:
         raise CertificateError("certificate failed verification")
     kind = _KINDS.get((cert.target, cert.flavor))
     if kind is None:

@@ -22,11 +22,9 @@ and pairs on the antidiagonal of their two blocks.  Every constructor
 returns a ``Certificate`` that has already verified its residual, its
 flavor (involution or skew-involution), and determinant one.
 
-Each fact about a kind is written here once: a target's residual sign and
-a flavor's square sign in two maps, and a constructible kind's modifiers
-and split of A into two factors (read by ``decompose``) in ``_KINDS``.
-``certify``, ``check_certificate`` and ``decompose.factorize`` reach
-``conjugator_checks`` through one helper, ``_kind_checks``.
+A constructible kind's modifiers and split of A into two factors (read
+by ``decompose``) are written here once, in ``_KINDS``; the kind names and
+signs, and the check ``certify`` runs, live in the checker ``check``.
 
 Every block of a conjugator comes from one memo, ``_block``, keyed by
 (lam, size, modifier, side, sign) and bounded at ``_BLOCK_MEMO`` = 256
@@ -40,32 +38,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 from .canonical import JordanSpec, jordan_block, jordan_matrix, offsets
+from .check import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
+                    TARGET_NEG_INVERSE, TARGETS, VerifyReport, _SQUARE_SIGN,
+                    _read_certificate, check)
 from .classify import (involution_pairing, inverse_pairing,
                        neg_inverse_pairing, odd_unit_classes)
 from .errors import (CertificateError, DomainError, NotConstructible,
                      SpecError, quoted)
-from .matrix import QMatrix, block_diagonal, conjugator_checks, place_blocks
+from .matrix import QMatrix, block_diagonal, place_blocks
 from .scalar import GR_I, GaussianRational
 
-TARGET_INVERSE = "inverse"
-TARGET_NEG_INVERSE = "neg-inverse"
-
-FLAVOR_INVOLUTION = "involution"
-FLAVOR_SKEW = "skew-involution"
-FLAVOR_GENERAL = "general"
-
 SQUARE_PLUS, SQUARE_MINUS = "+I", "-I"
-
-# target -> r in A g A = r g; flavor -> s in g^2 = s I (0: untested)
-_RESIDUAL_SIGN = {TARGET_INVERSE: 1, TARGET_NEG_INVERSE: -1}
-_SQUARE_SIGN = {FLAVOR_INVOLUTION: 1, FLAVOR_SKEW: -1, FLAVOR_GENERAL: 0}
-
-TARGETS = tuple(_RESIDUAL_SIGN)
-FLAVORS = tuple(_SQUARE_SIGN)
 
 # B = Omega(lam1) X for a modifier X; a pair's partner block is
 # s X^{-1} Omega(1/lam1) for the flavor's square sign s, so that g^2 = s I.
@@ -111,68 +98,20 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj) -> "Certificate":
-        if not isinstance(obj, dict) or not {"target", "flavor", "g"} <= set(obj):
-            raise ValueError("not a certificate object")
-        if obj["target"] not in TARGETS:
-            raise ValueError(
-                f"unknown certificate target {quoted(obj['target'])}")
-        if obj["flavor"] not in FLAVORS:
-            raise ValueError(
-                f"unknown certificate flavor {quoted(obj['flavor'])}")
+        """The certificate of its wire form (``check._read_certificate``);
+        the checks it claims are kept as given and never trusted."""
+        target, flavor, g = _read_certificate(obj)
         checks = obj.get("checks", {})
-        if not isinstance(checks, dict):
-            raise ValueError("certificate checks must be an object")
-        return cls(
-            g=QMatrix.from_json(obj["g"]),
-            target=obj["target"],
-            flavor=obj["flavor"],
-            residual_zero=bool(checks.get("residual_zero", False)),
-            flavor_verified=bool(checks.get("flavor_verified", False)),
-            det_one=bool(checks.get("det_one", False)),
-        )
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of the three certificate checks, each recomputed exactly."""
-
-    residual_zero: bool
-    flavor_verified: bool
-    det_one: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.residual_zero and self.flavor_verified and self.det_one
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return cls(QMatrix._of_form(g), target, flavor,
+                   bool(checks.get("residual_zero", False)),
+                   bool(checks.get("flavor_verified", False)),
+                   bool(checks.get("det_one", False)))
 
 
 def check_certificate(g: QMatrix, a: QMatrix, target: str,
                       flavor: str) -> VerifyReport:
-    """Run the three certificate checks on g against A, exactly.
-
-    The residual is tested as A g A = g (target "inverse") or A g A = -g
-    ("neg-inverse"), which for invertible A says g A g^{-1} = +-A^{-1}
-    without forming A^{-1}; for singular A it fails whenever det g = 1.
-    The flavor check is g^2 = I or g^2 = -I, skipped only for "general".
-    All three run in integers (``conjugator_checks``; the ``matrix``
-    docstring gives the scaled identities).
-    For an involution or skew-involution whose square passes, det_one is
-    read off the square: qdet(g)^2 = qdet(g^2) = 1 and qdet >= 0.  The
-    elimination runs only for "general" or a failed square.
-    """
-    return VerifyReport(*_kind_checks(g, a, target, flavor)[0])
-
-
-def _kind_checks(g: QMatrix, a: QMatrix, target: str, flavor: str):
-    """``conjugator_checks`` with the signs of the kind (target, flavor)."""
-    if target not in _RESIDUAL_SIGN:
-        raise DomainError(f"unknown target {quoted(target)}")
-    if flavor not in _SQUARE_SIGN:
-        raise DomainError(f"unknown flavor {quoted(flavor)}")
-    return conjugator_checks(g, a, _RESIDUAL_SIGN[target],
-                             _SQUARE_SIGN[flavor])
+    """The three certificate checks on g against A: ``check.check``."""
+    return check(g._ints, a._ints, target, flavor)[0]
 
 
 def certify(g: QMatrix, a: QMatrix, target: str, flavor: str) -> Certificate:

@@ -14,8 +14,9 @@ Binary operators of both types take only operands of their own type: for
 any other they return NotImplemented, so ``gr(1) * 2`` and ``quat(1) + 1``
 raise TypeError and ``gr(1) == 1`` is False.
 Every number read from text matches one ASCII pattern whole, nothing
-deleted from inside it: integers, rationals, complex literals built from
-the rational pattern, and the float tolerances' decimals (``DECIMAL_RE``).
+deleted from inside it: integers and rationals (``check``'s wire grammar),
+complex literals built from the rational pattern, and the float
+tolerances' decimals (``DECIMAL_RE``).
 """
 from __future__ import annotations
 
@@ -24,10 +25,9 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .check import _INTEGER_RE, _RATIONAL_RE, quaternion_ints, rational_ints
 from .errors import quoted
 
-_INTEGER_RE = _re.compile(r"[+-]?[0-9]+")
-_RATIONAL_RE = _re.compile(rf"({_INTEGER_RE.pattern})(?:/([1-9][0-9]*))?")
 # real | [re op | sign] [im ["*" | "·"]] i, for rationals real and re, an
 # unsigned rational im, op "+" or "-" and sign "+", "-" or none; whitespace
 # only between tokens
@@ -47,31 +47,9 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def rational_ints(text: str) -> tuple[int, int]:
-    """The integers (p, q), q > 0, of the wire form "p/q" or "p" (q = 1),
-    as written: not reduced.  ASCII digits only, nothing around them."""
-    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
-    if m is None:
-        raise ValueError(f"not a rational literal: {quoted(text)}")
-    p, q = m.groups()
-    return int(p), int(q) if q else 1
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse the wire form of a rational: "p/q" or "p" (integers only)."""
     return Fraction(*rational_ints(text))
-
-
-def quaternion_ints(obj) -> tuple[tuple[int, int], ...]:
-    """The four (p, q) pairs of a quaternion's wire form, a list of four
-    rational literals, each as ``rational_ints`` reads it."""
-    if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-        raise ValueError(f"not a quaternion array: {quoted(obj)}")
-    return tuple(map(rational_ints, obj))
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 _ZERO = Fraction(0)
@@ -206,7 +184,7 @@ class GaussianRational:
         return complex(x / z, y / z)
 
     def to_json(self) -> dict:
-        return {"re": format_rational(self.re), "im": format_rational(self.im)}
+        return {"re": str(self.re), "im": str(self.im)}
 
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
@@ -324,7 +302,7 @@ class Quaternion:
         return self.b == 0 and self.c == 0 and self.d == 0
 
     def to_json(self) -> list:
-        return [format_rational(v) for v in (self.a, self.b, self.c, self.d)]
+        return [str(v) for v in (self.a, self.b, self.c, self.d)]
 
     @classmethod
     def from_json(cls, obj) -> "Quaternion":

@@ -19,10 +19,10 @@ from quatrev.numeric import (_NO_PAIRING, _ROUNDS_TO_ZERO, ClassSnap,
                              NumericConfig, SnapReport, _radius_ladder,
                              phi_embed_float, qmatrix_to_float,
                              weyr_structure_numeric)
+from quatrev.check import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
+                           TARGET_NEG_INVERSE, VerifyReport)
 from quatrev.reversers import (_KINDS, _D, _PLAIN, _J, _J_IF_CONJ,
-                               FLAVOR_INVOLUTION, FLAVOR_SKEW,
-                               TARGET_INVERSE, TARGET_NEG_INVERSE,
-                               VerifyReport, block_reverser)
+                               block_reverser)
 from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, Q_J, Q_ONE, Q_ZERO,
                             GaussianRational, Quaternion, class_rep_inverse,
                             gr)

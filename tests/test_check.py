@@ -1,21 +1,26 @@
 """The certificate check against its Fraction-domain oracle ``naive_check``,
-and the integer form each matrix stores for it."""
+the integer form each matrix stores for it, and the boundary of the checker
+module ``check``."""
+import ast
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import complex_matrix, naive_check, naive_qdet, sweep_blocks
-from quatrev import matrix
+from test_golden import CASES, run_case
+from quatrev import check as checker
 from quatrev.canonical import JordanSpec, jordan_matrix
 from quatrev.decompose import factorize, verify_certificate
 from quatrev.errors import NotConstructible, SingularError
 from quatrev.matrix import QMatrix, is_involution, is_skew_involution, qdet
-from quatrev.reversers import (FLAVOR_GENERAL, FLAVOR_INVOLUTION,
-                               FLAVOR_SKEW, FLAVORS, TARGET_INVERSE,
-                               TARGET_NEG_INVERSE, TARGETS, VerifyReport,
-                               assemble_reverser, check_certificate)
+from quatrev.check import (FLAVOR_GENERAL, FLAVOR_INVOLUTION, FLAVOR_SKEW,
+                           FLAVORS, TARGET_INVERSE, TARGET_NEG_INVERSE,
+                           TARGETS, VerifyReport)
+from quatrev.reversers import assemble_reverser, check_certificate
 from quatrev.scalar import Q_ZERO, Quaternion, gr, quat
 
 REQUESTS = [(t, f) for t in TARGETS for f in FLAVORS]
@@ -287,7 +292,7 @@ def test_passed_square_skips_the_elimination(monkeypatch):
     def eliminated(d, rows):
         raise _Eliminated
 
-    monkeypatch.setattr(matrix, "_study_det", eliminated)
+    monkeypatch.setattr(checker, "_study_det", eliminated)
     rng = random.Random(17)
     for a, cert in built:
         assert verify_certificate(a, cert).ok
@@ -298,3 +303,86 @@ def test_passed_square_skips_the_elimination(monkeypatch):
         with pytest.raises(_Eliminated):
             check_certificate(_tamper(rng, cert.g, DENOMS["small"]), a,
                               cert.target, cert.flavor)
+
+
+# -- the one checker module --------------------------------------------------
+
+_SRC = pathlib.Path(checker.__file__).resolve().parent
+
+
+def _imports(name):
+    """(module, level) of every import statement in quatrev/<name>.py."""
+    tree = ast.parse((_SRC / f"{name}.py").read_text(encoding="utf-8"))
+    return [(alias.name, 0) for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names] + [
+        (node.module or "", node.level) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)]
+
+
+def test_checker_imports_only_the_standard_library_and_errors():
+    """``check`` and ``errors`` are the trusted base of ``quatrev verify``:
+    ``check`` imports the standard library and ``.errors`` alone, and
+    ``errors`` nothing from the package."""
+    for module, level in _imports("check"):
+        assert (module, level) == ("errors", 1) or (
+            level == 0 and module.split(".")[0] in sys.stdlib_module_names
+            and module.split(".")[0] != "quatrev"), module
+    assert all(level == 0 and module.split(".")[0] != "quatrev"
+               for module, level in _imports("errors"))
+
+
+def _defined(name):
+    """Names a module binds at top level by def, class or assignment."""
+    tree = ast.parse((_SRC / f"{name}.py").read_text(encoding="utf-8"))
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out |= {n.id for t in node.targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)}
+    return out
+
+
+def test_the_certificate_contract_is_written_once():
+    """The kernels, the literal grammar, the kind names and signs and the
+    report are defined in ``check`` and nowhere else; the two call layers
+    it replaced are gone, and ``check`` has no entry point of its own."""
+    once = {"_product", "_eliminate", "_hmul", "_conj_norm", "_half",
+            "_hamilton", "_squares_to", "_study_det", "_cleared", "_over",
+            "_form", "rational_ints", "quaternion_ints", "_RATIONAL_RE",
+            "_INTEGER_RE", "_RESIDUAL_SIGN", "_SQUARE_SIGN", "TARGETS",
+            "FLAVORS", "VerifyReport", "check", "verify"}
+    gone = {"conjugator_checks", "_kind_checks", "format_rational"}
+    modules = [p.stem for p in _SRC.glob("*.py")]
+    assert once <= _defined("check")
+    for name in modules:
+        if name != "check":
+            assert not (once | gone) & _defined(name), name
+    source = (_SRC / "check.py").read_text(encoding="utf-8")
+    assert "__main__" not in source and "environ" not in source
+
+
+def test_verify_runs_no_package_code_outside_cli_check_and_errors():
+    """``quatrev verify`` on every golden verify case, the package already
+    imported, executes code in no quatrev module but ``cli``, ``check`` and
+    ``errors``."""
+    cases = [c for c in CASES if c["argv"][0] == "verify"]
+    assert len(cases) == 8
+    ran = set()
+
+    def tracer(frame, event, arg):
+        path = pathlib.Path(frame.f_code.co_filename)
+        if path.parent == _SRC:
+            ran.add(path.stem)
+
+    for case in cases:
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            code, _, _ = run_case(case)
+        finally:
+            sys.settrace(old)
+        assert code == case["exit"], case["name"]
+    assert ran <= {"cli", "check", "errors"}, ran
+    assert {"cli", "check"} <= ran

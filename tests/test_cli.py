@@ -380,6 +380,25 @@ def test_verify_rejects_unknown_target_or_flavor():
         assert "bogus" in err and len(err.strip().splitlines()) == 1
 
 
+def test_verify_never_reads_the_claimed_checks():
+    """A correct g verifies with the honest report whatever its "checks"
+    claim, or with none; "checks" that are not an object exit 2."""
+    matrix, doc = _certified_pair()
+    honest = run("verify", "--matrix", json.dumps(matrix),
+                 "--cert", json.dumps(doc))
+    assert honest[0] == EXIT_OK and json.loads(honest[1])["ok"] is True
+    absent = {k: v for k, v in doc.items() if k != "checks"}
+    for cert in (absent, dict(doc, checks=dict.fromkeys(doc["checks"], False)),
+                 dict(doc, checks={"residual_zero": "false"})):
+        assert run("verify", "--matrix", json.dumps(matrix),
+                   "--cert", json.dumps(cert)) == honest
+    for checks in ([], "ok", None, True):
+        code, out, err = run("verify", "--matrix", json.dumps(matrix),
+                             "--cert", json.dumps(dict(doc, checks=checks)))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: certificate checks must be an object\n"
+
+
 def test_verify_rejects_malformed_matrix():
     matrix, doc = _certified_pair()
     bad_matrices = [
@@ -605,7 +624,11 @@ _DECOMPOSE_MODES = {"jordan": (("--jordan",), ("--target", "--flavor")),
 
 @st.composite
 def _hostile_argv(draw):
-    command = draw(st.sampled_from(sorted(_FLAGS)))
+    # one draw in seven names the subcommand freely: a known one or any
+    # text, as a plain str, since argparse quotes an unknown one by its repr
+    command = draw(st.sampled_from(sorted(_FLAGS) + [None]))
+    if command is None:
+        return [draw(st.sampled_from(sorted(_FLAGS)) | _any_value.map(str))]
     argv = [command]
     flags, required = _FLAGS[command], ()
     if command == "decompose":
@@ -625,11 +648,14 @@ def _hostile_argv(draw):
             argv.append(draw(good if how == "well-formed" else _any_value))
     if draw(st.sampled_from([False, False, True])):
         argv += ["--out", draw(_any_value)]
+    if draw(st.sampled_from([False, False, True])):  # a stray positional
+        argv.append(draw(_any_value))
     return argv
 
 
 def test_cli_hostile_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
-    """Any text or JSON for any flag of any subcommand, in process: the exit
+    """Any text or JSON for any flag of any subcommand, a stray positional
+    or any text as the subcommand name, in process: the exit
     code (argparse's included) is 0, 2, 3, 4 or 5, no exception escapes,
     and stderr holds at most one line of at most ``ERR_LINE_BYTES`` bytes
     and no traceback, however long the input.

@@ -20,9 +20,9 @@ import pytest
 from conftest import complex_matrix, det_bareiss, naive_check, naive_mul
 from quatrev.canonical import JordanSpec, jordan_matrix
 from quatrev.errors import SingularError
-from quatrev.matrix import QMatrix, _eliminate, _half, phi_embed, qdet
-from quatrev.reversers import (FLAVORS, TARGETS, assemble_reverser,
-                               check_certificate)
+from quatrev.check import FLAVORS, TARGETS, _eliminate, _half
+from quatrev.matrix import QMatrix, phi_embed, qdet
+from quatrev.reversers import assemble_reverser, check_certificate
 from quatrev.scalar import GR_ZERO, Q_ZERO, GaussianRational, Quaternion
 
 # operand kinds: where each nonzero entry's components may be nonzero

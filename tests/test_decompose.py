@@ -6,7 +6,9 @@ import pathlib
 import pytest
 
 from quatrev.canonical import JordanSpec, jordan_matrix
-from quatrev.decompose import (Factorization, VerifyReport, factorize,
+from quatrev.check import (FLAVOR_INVOLUTION, FLAVOR_SKEW, FLAVORS,
+                           TARGET_INVERSE, TARGET_NEG_INVERSE, TARGETS)
+from quatrev.decompose import (Factorization, factorize,
                                product_involution_skew,
                                product_two_involutions,
                                product_two_skew_involutions,
@@ -14,9 +16,7 @@ from quatrev.decompose import (Factorization, VerifyReport, factorize,
 from quatrev.errors import (CertificateError, DomainError, FlavorError,
                             NotConstructible, ShapeError)
 from quatrev.matrix import QMatrix, is_involution, is_skew_involution
-from quatrev.reversers import (Certificate, FLAVOR_INVOLUTION, FLAVOR_SKEW,
-                               FLAVORS, TARGET_INVERSE, TARGET_NEG_INVERSE,
-                               TARGETS, assemble_reverser)
+from quatrev.reversers import Certificate, assemble_reverser
 from quatrev.scalar import Q_ONE, gr, quat
 
 from conftest import sweep_blocks

@@ -12,7 +12,7 @@ from quatrev.classify import _is_unit
 from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, GaussianRational,
                             Q_I, Q_J, Q_K, Q_ONE, Quaternion, class_rep,
                             class_rep_inverse, class_rep_neg_inverse,
-                            format_rational, gr, parse_complex,
+                            gr, parse_complex,
                             parse_integer, parse_rational, quat)
 
 fractions_st = st.fractions(min_value=-1000, max_value=1000,
@@ -21,7 +21,7 @@ fractions_st = st.fractions(min_value=-1000, max_value=1000,
 
 def test_parse_rational_round_trip():
     for text in ["0", "5", "-7", "2/3", "-11/4", "100/7"]:
-        assert format_rational(parse_rational(text)) == text
+        assert str(parse_rational(text)) == text
 
 
 def test_parse_rational_rejects_junk():
