@@ -3,13 +3,16 @@
 An element is conjugate to its inverse exactly when its Jordan blocks split
 into inverse-partner pairs {J(lam,s), J(rep(lam^{-1}),s)} for classes off
 the unit circle, with unit-modulus blocks free singletons.  It is strongly
-reversible (product of two involutions) when additionally every non-real
-unit-modulus class appears an even number of times at each block size.  It
-is conjugate to the negative of its inverse when blocks split into
-negated-inverse pairs, with only the class of i exempt.  In the projective
-group the last condition and plain reversibility merge: an element is
-reversible there iff it is reversible or negatively reversible in the
-linear group, and then it is automatically strongly reversible there.
+reversible (a product of two involutions) exactly when the involution rule
+pairs them too, leaving only +-1 blocks single, so that every non-real unit
+class appears an even number of times at each block size.  It is conjugate
+to the negative of its inverse when blocks split into negated-inverse pairs,
+with only the class of i exempt.  In the projective group the last condition
+and plain reversibility merge: an element is reversible there iff it is
+reversible or negatively reversible in the linear group, and then it is
+automatically strongly reversible there.  One routine, ``criteria``, decides
+all five flags by these greedy pairings: exactly for a spec, and at
+``unit_tol`` for the float front end's unsnapped blocks.
 """
 from __future__ import annotations
 
@@ -30,15 +33,11 @@ class Pairing:
     singletons: tuple[int, ...]
 
     def describe(self, spec: JordanSpec) -> str:
-        bits = []
-        for a, b in self.pairs:
-            la, sa = spec.blocks[a]
-            lb, sb = spec.blocks[b]
-            bits.append(f"pair J({la},{sa}) <-> J({lb},{sb})")
-        for s in self.singletons:
-            lam, size = spec.blocks[s]
-            bits.append(f"singleton J({lam},{size})")
-        return "; ".join(bits)
+        def block(i):
+            return "J({},{})".format(*spec.blocks[i])
+        return "; ".join([f"pair {block(a)} <-> {block(b)}"
+                          for a, b in self.pairs]
+                         + [f"singleton {block(s)}" for s in self.singletons])
 
 
 def _is_unit(lam: GaussianRational) -> bool:
@@ -81,48 +80,74 @@ def _pair_blocks(blocks: Sequence[tuple],
     return Pairing(tuple(pairs), tuple(singletons)), None
 
 
+def _rules(is_unit, is_real, is_i, inverse, neg_inverse):
+    """(blocks left single, partner) of the inverse, involution and
+    negated-inverse rules: unit blocks; only +-1 blocks, since a non-real
+    unit class is its own inverse class and pairs with an equal block; i."""
+    return ((is_unit, inverse),
+            (lambda lam: is_real(lam) and is_unit(lam), inverse),
+            (is_i, neg_inverse))
+
+
+def criteria(blocks, is_unit, is_real, is_i, inverse, neg_inverse,
+             same=operator.eq):
+    """The paper's criteria on (eigenvalue, size) blocks in the arithmetic
+    the arguments give: the inverse and negated-inverse (pairing, reason)
+    and the five flags; strongly reversible iff the involution rule pairs."""
+    by_inverse, by_involution, by_neg = _rules(is_unit, is_real, is_i,
+                                               inverse, neg_inverse)
+    inv = _pair_blocks(blocks, *by_inverse, same)
+    neg = _pair_blocks(blocks, *by_neg, same)
+    reversible = inv[0] is not None
+    psl = reversible or neg[0] is not None
+    return inv, neg, {
+        "reversible": reversible,
+        "strongly_reversible": reversible and _pair_blocks(
+            blocks, *by_involution, same)[0] is not None,
+        "neg_reversible": neg[0] is not None,
+        "psl_reversible": psl,
+        "psl_strongly_reversible": psl,
+    }
+
+
+# the exact arithmetic on class representatives
+_EXACT = (_is_unit, lambda lam: lam.is_real, lambda lam: lam == GR_I,
+          class_rep_inverse, class_rep_neg_inverse)
+_BY_INVERSE, _BY_INVOLUTION, _BY_NEG_INVERSE = _rules(*_EXACT)
+
+
 def inverse_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[str]]:
     """Pair non-unit blocks with their inverse class at equal size."""
-    return _pair_blocks(spec.blocks, _is_unit, class_rep_inverse)
+    return _pair_blocks(spec.blocks, *_BY_INVERSE)
 
 
 def involution_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[str]]:
-    """Pairs for an involution conjugator: inverse partners as above, and
-    non-real unit blocks with an equal block (their class is their own
-    inverse class); only +-1 blocks stay single."""
-    return _pair_blocks(spec.blocks, lambda lam: lam.is_real and _is_unit(lam),
-                        class_rep_inverse)
+    """Pairs for an involution conjugator: they exist iff strongly reversible."""
+    return _pair_blocks(spec.blocks, *_BY_INVOLUTION)
 
 
 def neg_inverse_pairing(spec: JordanSpec) -> tuple[Optional[Pairing], Optional[str]]:
     """Pair blocks with the negated-inverse class; only i is self-paired."""
-    return _pair_blocks(spec.blocks, lambda lam: lam == GR_I,
-                        class_rep_neg_inverse)
+    return _pair_blocks(spec.blocks, *_BY_NEG_INVERSE)
 
 
 def is_reversible(spec: JordanSpec) -> bool:
-    pairing, _ = inverse_pairing(spec)
-    return pairing is not None
+    return inverse_pairing(spec)[0] is not None
 
 
 def odd_unit_classes(spec: JordanSpec) -> list[tuple[GaussianRational, int]]:
     """(class, size) combinations of non-real unit classes with odd count."""
-    counts: dict[tuple[GaussianRational, int], int] = {}
-    for lam, size in spec.blocks:
-        if lam._ints[1] > 0 and _is_unit(lam):
-            counts[(lam, size)] = counts.get((lam, size), 0) + 1
-    return sorted((block for block, c in counts.items() if c % 2 == 1),
-                  key=block_order(counts, 1))
+    units = [b for b in spec.blocks if b[0]._ints[1] > 0 and _is_unit(b[0])]
+    return sorted({b for b in units if units.count(b) % 2},
+                  key=block_order(units, 1))
 
 
 def is_strongly_reversible(spec: JordanSpec) -> bool:
-    """Reversible with even multiplicity at every non-real unit (class, size)."""
-    return is_reversible(spec) and not odd_unit_classes(spec)
+    return involution_pairing(spec)[0] is not None
 
 
 def is_neg_reversible(spec: JordanSpec) -> bool:
-    pairing, _ = neg_inverse_pairing(spec)
-    return pairing is not None
+    return neg_inverse_pairing(spec)[0] is not None
 
 
 @dataclass(frozen=True)
@@ -140,23 +165,8 @@ class Classification:
 
 def classify_psl(spec: JordanSpec) -> Classification:
     """All five reversibility flags plus the pairings that witness them."""
-    inv_pairing, inv_reason = inverse_pairing(spec)
-    neg_pairing, neg_reason = neg_inverse_pairing(spec)
-    reversible = inv_pairing is not None
-    strongly = reversible and not odd_unit_classes(spec)
-    neg = neg_pairing is not None
-    psl = reversible or neg
-    witness = {
-        "inverse": (inv_pairing.describe(spec) if inv_pairing
-                    else f"none: {inv_reason}"),
-        "neg_inverse": (neg_pairing.describe(spec) if neg_pairing
-                        else f"none: {neg_reason}"),
-    }
-    return Classification(
-        reversible=reversible,
-        strongly_reversible=strongly,
-        neg_reversible=neg,
-        psl_reversible=psl,
-        psl_strongly_reversible=psl,
-        witness_pairing=witness,
-    )
+    inv, neg, flags = criteria(spec.blocks, *_EXACT)
+    witness = {name: pairing.describe(spec) if pairing else f"none: {reason}"
+               for name, (pairing, reason) in (("inverse", inv),
+                                               ("neg_inverse", neg))}
+    return Classification(**flags, witness_pairing=witness)

@@ -243,12 +243,21 @@ def cmd_weyr(args) -> tuple[int, dict]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors end in one line and exit 2, like every other error, each
-    argument they echo clipped as ``errors.clipped`` clips input."""
+    """Usage errors end in one line and exit 2, like every other error: each
+    argument they echo is clipped as ``errors.clipped`` clips input, and at
+    most three stray arguments are named."""
 
     def parse_known_args(self, args=None, namespace=None):
         self._argv = sys.argv[1:] if args is None else args
         return super().parse_known_args(args, namespace)
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse would echo every stray argument: name the first three
+        namespace, stray = self.parse_known_args(args, namespace)
+        if stray:
+            more = f" and {len(stray) - 3} more" if len(stray) > 3 else ""
+            self.error(f"unrecognized arguments: {' '.join(stray[:3])}{more}")
+        return namespace
 
     def error(self, text):
         # an echo is an argument, or its value after "=" or a one-letter flag

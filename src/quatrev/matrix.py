@@ -7,10 +7,10 @@ Study determinant, is the determinant on quaternionic matrices, which
 ``qdet`` computes by elimination on A itself (H. Aslaksen, Math.
 Intelligencer 18 (1996)).  A matrix holds only its integer form ``_ints``,
 as the certificate checker ``check`` defines it, and products, ``qdet`` and
-``inverse`` run ``check``'s integer kernels on it.  Every matrix the package
-builds is born in that form (``_of_ints``); its quaternion entries are made
-from it on each read.  Matrices are immutable, and equality and hashing
-compare the form.
+``inverse`` run ``check``'s integer kernels on it.  Matrices are built in
+that form (``_of_ints``), save the Weyr helpers and ``zeros``/``identity``/
+``diagonal``, which go through ``QMatrix(...)``; entries are made from the
+form on each read.  Matrices are immutable; equality and hashing compare it.
 """
 from __future__ import annotations
 
@@ -242,12 +242,16 @@ def place_blocks(size: int,
 
 def phi_embed(a: QMatrix) -> QMatrix:
     """Complex embedding of A = A1 + A2 j: [[A1, A2], [-conj A2, conj A1]],
-    a matrix whose entries lie in C."""
-    parts = [[x.complex_parts() for x in row] for row in a.entries]
-    top = [[z1 for z1, _ in row] + [z2 for _, z2 in row] for row in parts]
-    bottom = [[-z2.conjugate() for _, z2 in row]
-              + [z1.conjugate() for z1, _ in row] for row in parts]
-    return QMatrix([[z.to_quaternion() for z in row] for row in top + bottom])
+    a matrix whose entries lie in C, written from A's integer form, where
+    an entry (w, x, y, z) is w + x i + (y + z i) j."""
+    d, rows = a._ints
+    rows = [[e or _Z4 for e in row] for row in rows]
+    top = [[(w, x, 0, 0) for w, x, _, _ in row]
+           + [(y, z, 0, 0) for _, _, y, z in row] for row in rows]
+    bottom = [[(-y, z, 0, 0) for _, _, y, z in row]
+              + [(w, -x, 0, 0) for w, x, _, _ in row] for row in rows]
+    return QMatrix._of_ints(d, [[e if any(e) else None for e in row]
+                                for row in top + bottom])
 
 
 def qdet(a: QMatrix) -> Fraction:

@@ -375,13 +375,10 @@ def classify_approximate(spec_classes: Sequence[tuple[complex, int]],
                          cfg: NumericConfig = NumericConfig()) -> dict:
     """Advisory tolerance-based classification of float (eigenvalue, size) blocks.
 
-    Mirrors the exact flags but every comparison happens at unit_tol; use
-    only when snapping failed.
+    Runs the exact path's one routine, ``classify.criteria``, with every
+    comparison at unit_tol; use only when snapping failed.
     """
     tol = cfg.unit_tol
-
-    def is_unit(z):
-        return abs(abs(z) - 1.0) <= tol
 
     def rep(z):
         return z if z.imag >= 0 else z.conjugate()
@@ -389,30 +386,11 @@ def classify_approximate(spec_classes: Sequence[tuple[complex, int]],
     def near(x, y):
         return abs(x - y) <= tol
 
-    inv_pairing, _ = _classify._pair_blocks(
-        spec_classes, is_unit, lambda z: rep(1 / z), near)
-    neg_pairing, _ = _classify._pair_blocks(
-        spec_classes, lambda z: near(z, 1j), lambda z: rep(-1 / z), near)
-    reversible = inv_pairing is not None
-    neg = neg_pairing is not None
-    # non-real unit classes counted by the relation pairing uses: a class
-    # joins the first counted (value, size) of its size that is near it
-    counts: dict[tuple[complex, int], int] = {}
-    for z, size in spec_classes:
-        if is_unit(z) and z.imag > tol:
-            key = next((k for k in counts if k[1] == size and near(k[0], z)),
-                       (z, size))
-            counts[key] = counts.get(key, 0) + 1
-    odd_units = any(c % 2 for c in counts.values())
-    strongly = reversible and not odd_units
-    return {
-        "reversible": reversible,
-        "strongly_reversible": strongly,
-        "neg_reversible": neg,
-        "psl_reversible": reversible or neg,
-        "psl_strongly_reversible": reversible or neg,
-        "approximate": True,
-    }
+    _, _, flags = _classify.criteria(
+        spec_classes, lambda z: abs(abs(z) - 1.0) <= tol,
+        lambda z: abs(z.imag) <= tol, lambda z: near(z, 1j),
+        lambda z: rep(1 / z), lambda z: rep(-1 / z), near)
+    return {**flags, "approximate": True}
 
 
 def classify_numeric(f: np.ndarray,

@@ -333,21 +333,19 @@ def assemble_reverser(spec: JordanSpec, target: str = TARGET_INVERSE,
             raise NotConstructible(
                 f"not conjugate to the negative of its inverse: {reason}")
         flavor = FLAVOR_INVOLUTION
+    elif flavor != FLAVOR_SKEW and (pairing := involution_pairing(spec)[0]):
+        # an involution exactly when its pairing exists (strong reversibility)
+        flavor = FLAVOR_INVOLUTION
     else:
         pairing, reason = inverse_pairing(spec)
         if pairing is None:
             raise NotConstructible(f"not conjugate to its inverse: {reason}")
-        odd = odd_unit_classes(spec) if flavor != FLAVOR_SKEW else None
-        if odd and flavor == FLAVOR_INVOLUTION:
-            lam, size = odd[0]
+        if flavor == FLAVOR_INVOLUTION:
+            lam, size = odd_unit_classes(spec)[0]
             raise NotConstructible(
                 f"no involution conjugator: unit-modulus class {lam} occurs "
                 f"an odd number of times at block size {size}")
-        if flavor == FLAVOR_SKEW or odd:
-            flavor = FLAVOR_SKEW
-        else:
-            flavor = FLAVOR_INVOLUTION
-            pairing, _ = involution_pairing(spec)
+        flavor = FLAVOR_SKEW
 
     offsets = spec.block_offsets()
     blocks = [(offsets[ia], offsets[ib], spec.blocks[ia][0],

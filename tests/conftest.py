@@ -28,7 +28,9 @@ from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, Q_J, Q_ONE, Q_ZERO,
                             gr)
 
 # eigenvalue pool used by the sweep: real reciprocal pairs, units, and a
-# non-unit complex value whose inverse-class partner is in the pool too
+# non-unit complex value, 1+i, whose inverse-class partner (1+i)/2 and
+# negated-inverse partner (-1+i)/2 are not in it, so that no sweep spec
+# holding 1+i is reversible or negatively reversible
 EIG_POOL = (gr(1), gr(-1), gr(2), gr("1/2"), gr(-2), gr("-1/2"),
             gr(0, 1), gr("3/5", "4/5"), gr(1, 1))
 SWEEP_MAX_TOTAL = 6
@@ -143,6 +145,36 @@ def circle_point(m, k) -> GaussianRational:
     """((m^2 - k^2) + 2mk i) / (m^2 + k^2), a point of modulus 1."""
     q = m * m + k * k
     return GaussianRational(Fraction(m * m - k * k, q), Fraction(2 * m * k, q))
+
+
+# eigenvalues with small parts, so that two distinct ones lie far apart at
+# the float front end's unit_tol; the listed ones hold partner classes
+_small_parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+SMALL_EIGENVALUES = (
+    st.sampled_from([gr(1), gr(-1), gr(2), gr("1/2"), gr(-2), gr("-1/2"),
+                     gr(0, 1), gr("3/5", "4/5"), gr("-3/5", "4/5"),
+                     gr(1, 1), gr("1/2", "1/2"), gr("-1/2", "1/2")])
+    | st.builds(circle_point, st.integers(-4, 4), st.integers(1, 4))
+    | st.builds(GaussianRational, _small_parts, _small_parts).filter(
+        lambda lam: not lam.is_zero))
+# a block's partner: none, its inverse, its negated inverse or itself
+_PARTNERS = (None, GaussianRational.inverse,
+             lambda lam: -lam.inverse(), lambda lam: lam)
+
+
+@st.composite
+def jordan_specs(draw):
+    """Random specs of at most eight blocks of size at most 3, each drawn
+    block followed by a drawn partner of its size about as often as not."""
+    blocks = []
+    drawn = st.lists(st.tuples(SMALL_EIGENVALUES, st.integers(1, 3)),
+                     min_size=1, max_size=4)
+    for lam, size in draw(drawn):
+        blocks.append((lam, size))
+        partner = draw(st.sampled_from(_PARTNERS + (None,) * 2))
+        if partner is not None:
+            blocks.append((partner(lam), size))
+    return JordanSpec.of(blocks)
 
 
 def naive_norm_sq(lam: GaussianRational) -> Fraction:

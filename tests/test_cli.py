@@ -595,6 +595,9 @@ _any_value = st.one_of(
     _json_doc, _compact_spec, _long_value,
     st.sampled_from(["-", "", ".", "general", "1e-9", "nan", "-inf", "-1"]),
 ).filter(_sizes_at_most_12)
+# a short stray argument, repeated thousands of times: the usage error
+# names only the first few
+_short_value = st.sampled_from(["ab", "1", "-", "x y", "[(2,1)]", "é"])
 _inputs = st.sampled_from(_GOLDEN_INPUTS)
 _kinds = st.sampled_from(["inverse", "neg-inverse"])
 _flavors = st.sampled_from(["any", "involution", "skew-involution"])
@@ -650,15 +653,17 @@ def _hostile_argv(draw):
         argv += ["--out", draw(_any_value)]
     if draw(st.sampled_from([False, False, True])):  # a stray positional
         argv.append(draw(_any_value))
+    if draw(st.sampled_from([False] * 5 + [True])):  # thousands of short ones
+        argv += [draw(_short_value)] * draw(st.integers(1000, 6000))
     return argv
 
 
 def test_cli_hostile_inputs_end_in_a_documented_exit(tmp_path, monkeypatch):
-    """Any text or JSON for any flag of any subcommand, a stray positional
-    or any text as the subcommand name, in process: the exit
-    code (argparse's included) is 0, 2, 3, 4 or 5, no exception escapes,
-    and stderr holds at most one line of at most ``ERR_LINE_BYTES`` bytes
-    and no traceback, however long the input.
+    """Any text or JSON for any flag of any subcommand, a stray positional,
+    thousands of short stray positionals, or any text as the subcommand
+    name, in process: the exit code (argparse's included) is 0, 2, 3, 4 or
+    5, no exception escapes, and stderr holds at most one line of at most
+    ``ERR_LINE_BYTES`` bytes and no traceback, however long the input.
 
     Drawn values and stdin carry no number above 12, so ``--n`` and every
     spec block size stay at most 12; drawn text holds no path separator, so

@@ -24,7 +24,10 @@ classes, 1x1 inputs whose class lies within unit_tol of 0, and exit-2
 inputs: a ``--rank-tol`` of "1_0e-9", an entry that is a string or
 ``true``), ``verify`` and ``decompose`` given a 4x4 matrix with a 5x5
 certificate, and an ``omega`` whose entries are too long to write under
-Python's int-to-str limit (each exits 2).
+Python's int-to-str limit (each exits 2), ``certify`` refusals (exit 4) of
+an irreversible spec, of a spec not conjugate to minus its inverse, and of
+an involution for a unit class of odd count, and ``weyr`` with five stray
+arguments (exit 2, the first three named).
 After a deliberate output change, re-record with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
 """

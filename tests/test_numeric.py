@@ -3,11 +3,13 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import (EIG_POOL, RECOVERY_CONFIGS, RECOVERY_POOL,
+from conftest import (EIG_POOL, RECOVERY_CONFIGS, RECOVERY_POOL, jordan_specs,
                       naive_jordan_spec_numeric, naive_phi_eigenvalues,
                       rand_invertible, recovery_corpus, rng_for)
 from quatrev.canonical import JordanSpec, jordan_matrix
+from quatrev.classify import classify_psl
 from quatrev.errors import (PairingError, QuatrevError, RankProfileError,
                             SingularError)
 from quatrev.numeric import (NumericConfig, classify_approximate,
@@ -152,6 +154,18 @@ def test_approximate_counts_unit_classes_as_it_pairs_them(theta, gap):
     out = classify_approximate(blocks)
     assert out["reversible"] is True
     assert out["strongly_reversible"] is True
+
+
+@settings(max_examples=300, deadline=None)
+@given(jordan_specs())
+def test_approximate_flags_are_the_exact_flags(spec):
+    """On the complex values of an exact spec's blocks, the float
+    classification gives the five flags ``classify_psl`` gives: both run
+    ``classify.criteria``, one at unit_tol and one exactly."""
+    exact = classify_psl(spec).to_json()
+    del exact["witness_pairing"]
+    got = classify_approximate([(lam.to_complex(), s) for lam, s in spec.blocks])
+    assert got == dict(exact, approximate=True)
 
 
 def test_tolerances_are_overridable():
