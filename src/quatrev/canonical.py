@@ -6,7 +6,8 @@ and blocks sort by (re, im, size descending), compared in integers read
 off each eigenvalue's triple (``block_order``).  The Weyr form dual to a
 single-eigenvalue Jordan structure is realized by an explicit basis
 permutation: Jordan chains are enumerated longest first, then regrouped
-level by level.
+level by level.  The level layer is built in the integer form, and entries
+placed along level blocks go through ``level_matrix``.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ from itertools import accumulate
 
 from .errors import SpecError
 from .matrix import QMatrix
-from .scalar import (GR_ZERO, Q_ONE, Q_ZERO, GaussianRational, class_rep,
-                     gr, parse_complex)
+from .scalar import GaussianRational, class_rep, gr, parse_complex
 from .partitions import Partition, WeyrStructure
 
 
@@ -132,23 +132,32 @@ def jordan_matrix(spec: JordanSpec) -> QMatrix:
     return _jordan(spec.blocks)
 
 
+def level_matrix(sizes, d, grid) -> QMatrix:
+    """The matrix over d blocked along the non-increasing level sizes whose
+    (i, j) block is the integer 4-tuple grid[i][j] (None for zero) down the
+    diagonal of its leading min(sizes[i], sizes[j]) square."""
+    offs = offsets(sizes)
+    n = sum(sizes)
+    rows = [[None] * n for _ in range(n)]
+    for i, grid_row in enumerate(grid):
+        for j, e in enumerate(grid_row):
+            for t in range(min(sizes[i], sizes[j]) if e else 0):
+                rows[offs[i] + t][offs[j] + t] = e
+    return QMatrix._of_ints(d, rows)
+
+
 def basic_weyr_matrix(lam: GaussianRational, w: WeyrStructure) -> QMatrix:
     """Basic Weyr matrix: lam*I diagonal blocks, echelon identity above.
 
     The block over positions (i, i+1) is the sizes[i] x sizes[i+1] identity
     followed by zero rows.
     """
-    sizes = w.sizes
-    n = w.total
-    offs = offsets(sizes)
-    lam_q = lam.to_quaternion()
-    grid = [[Q_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = lam_q
-    for b in range(len(sizes) - 1):
-        for t in range(sizes[b + 1]):
-            grid[offs[b] + t][offs[b + 1] + t] = Q_ONE
-    return QMatrix(grid)
+    x, y, z = lam._ints
+    diag = (x, y, 0, 0) if x or y else None
+    r = len(w.sizes)
+    return level_matrix(w.sizes, z, [
+        [diag if j == i else (z, 0, 0, 0) if j == i + 1 else None
+         for j in range(r)] for i in range(r)])
 
 
 def jordan_weyr_permutation(p: Partition) -> QMatrix:
@@ -158,21 +167,11 @@ def jordan_weyr_permutation(p: Partition) -> QMatrix:
     first); the new basis lists level 1 of every chain, then level 2, and so
     on, keeping chain order inside each level.
     """
-    parts = p.parts
-    n = p.total
-    chain_offsets = offsets(parts)
-    new_index = {}
-    pos = 0
-    for level in range(1, parts[0] + 1):
-        for chain, length in enumerate(parts):
-            if length >= level:
-                old = chain_offsets[chain] + (level - 1)
-                new_index[old] = pos
-                pos += 1
-    grid = [[Q_ZERO] * n for _ in range(n)]
-    for old, new in new_index.items():
-        grid[new][old] = Q_ONE
-    return QMatrix(grid)
+    chain_offsets = offsets(p.parts)
+    order = [chain_offsets[chain] + level for level in range(p.parts[0])
+             for chain, length in enumerate(p.parts) if length > level]
+    return QMatrix._of_ints(1, [[(1, 0, 0, 0) if j == k else None
+                                 for j in range(p.total)] for k in order])
 
 
 def weyr_centralizer_sample(w: WeyrStructure, seed: int) -> QMatrix:
@@ -181,40 +180,25 @@ def weyr_centralizer_sample(w: WeyrStructure, seed: int) -> QMatrix:
     Blocked as K[i][j] with K[i][j] = [[K[i+1][j+1], *], [0, *]] for
     i <= j < r, last block column unconstrained, lower blocks zero.  For
     the structure (1,...,1) the pattern collapses to upper-triangular
-    Toeplitz.
+    Toeplitz.  Every entry re + im i of a block is drawn, re and im in
+    [-9, 9], from the last block row up each block diagonal.
     """
     rng = random.Random(seed)
     sizes = w.sizes
     r = len(sizes)
-
-    def rand_block(rows, cols):
-        return [[gr(rng.randint(-9, 9), rng.randint(-9, 9))
-                 for _ in range(cols)] for _ in range(rows)]
-
-    blocks: dict[tuple[int, int], list[list[GaussianRational]]] = {}
-    for diag in range(r):
-        for i in range(r - diag, 0, -1):  # 1-indexed block row
-            j = i + diag
-            if j == r:
-                blocks[(i, j)] = rand_block(sizes[i - 1], sizes[j - 1])
-                continue
-            inner = blocks[(i + 1, j + 1)]
-            rows, cols = sizes[i - 1], sizes[j - 1]
-            in_rows, in_cols = sizes[i], sizes[j]
-            block = rand_block(rows, cols)
-            for a in range(in_rows):
-                for b in range(in_cols):
-                    block[a][b] = inner[a][b]
-            for a in range(in_rows, rows):
-                for b in range(in_cols):
-                    block[a][b] = GR_ZERO
-            blocks[(i, j)] = block
-
     offs = offsets(sizes)
-    n = w.total
-    grid = [[GR_ZERO] * n for _ in range(n)]
-    for (i, j), block in blocks.items():
-        for a, row in enumerate(block):
-            for b, x in enumerate(row):
-                grid[offs[i - 1] + a][offs[j - 1] + b] = x
-    return QMatrix([[x.to_quaternion() for x in row] for row in grid])
+    rows = [[None] * w.total for _ in range(w.total)]
+    for diag in range(r):
+        for i in range(r - 1 - diag, -1, -1):
+            j = i + diag
+            inner = (0, 0) if j == r - 1 else (sizes[i + 1], sizes[j + 1])
+            for a in range(sizes[i]):
+                for b in range(sizes[j]):
+                    x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+                    if b >= inner[1]:
+                        e = (x, y, 0, 0) if x or y else None
+                    else:  # copied from K[i+1][j+1], or zero below it
+                        e = (rows[offs[i + 1] + a][offs[j + 1] + b]
+                             if a < inner[0] else None)
+                    rows[offs[i] + a][offs[j] + b] = e
+    return QMatrix._of_ints(1, rows)

@@ -36,10 +36,6 @@ class SpecError(QuatrevError):
     """A Jordan block specification is malformed or has the wrong shape."""
 
 
-class NotSingleBlock(QuatrevError):
-    """The input matrix is not similar to a single Jordan block."""
-
-
 class NotConstructible(QuatrevError):
     """No conjugator of the requested kind exists for this spec."""
 

@@ -8,9 +8,9 @@ Study determinant, is the determinant on quaternionic matrices, which
 Intelligencer 18 (1996)).  A matrix holds only its integer form ``_ints``,
 as the certificate checker ``check`` defines it, and products, ``qdet`` and
 ``inverse`` run ``check``'s integer kernels on it.  Matrices are built in
-that form (``_of_ints``), save the Weyr helpers and ``zeros``/``identity``/
-``diagonal``, which go through ``QMatrix(...)``; entries are made from the
-form on each read.  Matrices are immutable; equality and hashing compare it.
+that form (``_of_ints``), save ``QMatrix(rows)``, ``diagonal`` and ``scalar``,
+which take the caller's quaternions; entries are made from the form on each
+read.  Matrices are immutable; equality and hashing compare it.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .check import (_cleared, _conj_norm, _eliminate, _form, _hmul, _product,
                     _read_matrix, _squares_to, _study_det)
 from .errors import QuatrevError, ShapeError, SingularError
-from .scalar import Q_ONE, Q_ZERO, Quaternion
+from .scalar import Q_ZERO, Quaternion
 
 _F_ZERO = Fraction(0)
 _Z4 = (0, 0, 0, 0)
@@ -89,11 +89,12 @@ class QMatrix:
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int | None = None):
         n_cols = n_rows if n_cols is None else n_cols
-        return cls([[Q_ZERO] * n_cols for _ in range(n_rows)])
+        return cls._of_ints(1, [[None] * n_cols for _ in range(n_rows)])
 
     @classmethod
     def identity(cls, n: int):
-        return cls.scalar(n, Q_ONE)
+        return cls._of_ints(1, [[(1, 0, 0, 0) if i == j else None
+                                 for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, values: Sequence[Quaternion]):

@@ -50,12 +50,11 @@ class NumericConfig:
 
 
 def qmatrix_to_float(a: QMatrix) -> np.ndarray:
-    """Exact matrix to an (n, n, 4) float array of components."""
-    out = np.empty((a.n_rows, a.n_cols, 4), dtype=float)
-    for i, row in enumerate(a.entries):
-        for j, x in enumerate(row):
-            out[i, j] = (float(x.a), float(x.b), float(x.c), float(x.d))
-    return out
+    """Exact matrix to an (n, n, 4) float array of components, each c / d
+    for c in the integer form over d: rounded as float(Fraction(c, d))."""
+    d, rows = a._ints
+    return np.array([[[c / d for c in e] if e else [0.0] * 4 for e in row]
+                     for row in rows], dtype=float)
 
 
 def float_matrix_to_json(f: np.ndarray) -> dict:

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .canonical import JordanSpec, jordan_block, jordan_matrix, offsets
+from .canonical import JordanSpec, jordan_block, jordan_matrix, level_matrix
 from .check import (FLAVOR_INVOLUTION, FLAVOR_SKEW, TARGET_INVERSE,
                     TARGET_NEG_INVERSE, TARGETS, VerifyReport, _SQUARE_SIGN,
                     _read_certificate, check)
@@ -173,23 +173,13 @@ def weyr_reverser(alpha: GaussianRational, p) -> QMatrix:
 
     For Jordan sizes p with largest part r, the matrix is blocked along the
     conjugate structure (n_1, ..., n_r); block (i, j) is entry (i, j) of
-    Omega(alpha) (size r) times the truncated identity.  Multiplying by j
-    on the right gives the conjugator that reverses the basic Weyr matrix.
+    Omega(alpha) (size r) down its leading diagonal (``level_matrix``).
+    Times j on the right, it is the conjugator reversing the basic Weyr matrix.
     """
     if alpha.norm_sq() != 1:
         raise DomainError("eigenvalue must have unit modulus")
-    sizes = p.conjugate().parts
-    den, omega = block_reverser(alpha, len(sizes))._ints
-    offs = offsets(sizes)
-    n = sum(sizes)
-    rows = [[None] * n for _ in range(n)]
-    for i, omega_row in enumerate(omega):
-        for j, z in enumerate(omega_row):
-            if z is not None:
-                # truncated identity: rows sizes[i], cols sizes[j]
-                for t in range(min(sizes[i], sizes[j])):
-                    rows[offs[i] + t][offs[j] + t] = z
-    return QMatrix._of_ints(den, rows)
+    return level_matrix(p.conjugate().parts,
+                        *block_reverser(alpha, p.parts[0])._ints)
 
 
 class ReversibleShape(Enum):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from quatrev.canonical import JordanSpec, jordan_block, jordan_matrix
 from quatrev.classify import (involution_pairing, inverse_pairing,
                               neg_inverse_pairing)
-from quatrev.errors import (NotSingleBlock, PairingError, RankProfileError,
+from quatrev.errors import (PairingError, QuatrevError, RankProfileError,
                             ShapeError, SingularError)
 from quatrev.matrix import QMatrix, place_blocks, qdet
 from quatrev.numeric import (_NO_PAIRING, _ROUNDS_TO_ZERO, ClassSnap,
@@ -379,6 +379,10 @@ def conjugacy_residual(g: QMatrix, a: QMatrix, b: QMatrix) -> QMatrix:
     if qdet(g) == 0:
         raise SingularError("conjugating matrix is singular")
     return g * a - b * g
+
+
+class NotSingleBlock(QuatrevError):
+    """The input matrix is not similar to a single Jordan block."""
 
 
 def single_block_conjugator(m: QMatrix, mu: GaussianRational) -> QMatrix:

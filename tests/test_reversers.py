@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (conjugacy_residual, naive_block_reverser,
-                      neg_i_closed_form, rng_for, rand_gr,
-                      single_block_conjugator, sub_block, toeplitz_build)
+from conftest import (NotSingleBlock, conjugacy_residual,
+                      naive_block_reverser, neg_i_closed_form, rng_for,
+                      rand_gr, single_block_conjugator, sub_block,
+                      toeplitz_build)
 from quatrev.canonical import (JordanSpec, jordan_block, jordan_matrix,
                                basic_weyr_matrix)
 from quatrev.classify import neg_inverse_pairing
 from quatrev.errors import (CertificateError, DomainError, NotConstructible,
-                            NotSingleBlock, SpecError)
+                            SpecError)
 from quatrev.matrix import (QMatrix, block_diagonal, is_involution,
                             is_skew_involution, qdet)
 from quatrev.partitions import Partition, weyr_structure_of
