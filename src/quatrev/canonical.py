@@ -3,14 +3,17 @@
 A ``JordanSpec`` lists blocks (eigenvalue class representative, size) and is
 normalized on construction: representatives get nonnegative imaginary part
 and blocks sort by (re, im, size descending), compared in integers read
-off each eigenvalue's triple (``block_order``).  The Weyr form dual to a
-single-eigenvalue Jordan structure is realized by an explicit basis
-permutation: Jordan chains are enumerated longest first, then regrouped
-level by level.  The level layer is built in the integer form, and entries
-placed along level blocks go through ``level_matrix``.
+off each eigenvalue's triple (``block_order``); a block already in that
+form is shared with the caller, not copied.  ``jordan_matrix`` is memoized
+on the spec.  The Weyr form dual to a single-eigenvalue Jordan structure is
+realized by an explicit basis permutation: Jordan chains are enumerated
+longest first, then regrouped level by level.  The level layer is built in
+the integer form, and entries placed along level blocks go through
+``level_matrix``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -21,17 +24,36 @@ from .matrix import QMatrix
 from .scalar import GaussianRational, class_rep, gr, parse_complex
 from .partitions import Partition, WeyrStructure
 
+# Jordan matrices memoized by spec (both are immutable): a certifying
+# caller builds A, and ``assemble_reverser`` needs the same A for its check
+_JORDAN_MEMO = 256
+
 
 @dataclass(frozen=True)
 class JordanSpec:
-    """Multiset of Jordan blocks in canonical order."""
+    """Multiset of Jordan blocks in canonical order.
+
+    A caller's block that is already canonical, a plain tuple whose
+    eigenvalue is its own class representative, is kept as given rather
+    than copied, so specs drawn from shared blocks share them."""
+
+    # written out, not ``slots=True``: that rebuilds the class, and the
+    # frozen ``__setattr__`` of the rebuilt one raises TypeError, not
+    # FrozenInstanceError, for a name that is not a field
+    __slots__ = ("blocks",)
 
     blocks: tuple[tuple[GaussianRational, int], ...]
+
+    def __reduce__(self):
+        # copied through the constructor: a frozen spec refuses the setattr
+        # that restoring a slot state would make
+        return JordanSpec, (self.blocks,)
 
     @classmethod
     def of(cls, blocks) -> "JordanSpec":
         normalized = []
-        for lam, size in blocks:
+        for block in blocks:
+            lam, size = block
             if not isinstance(lam, GaussianRational):
                 lam = parse_complex(lam) if isinstance(lam, str) else gr(lam)
             if lam.is_zero:
@@ -39,7 +61,9 @@ class JordanSpec:
             if (not isinstance(size, int) or isinstance(size, bool)
                     or size < 1):
                 raise SpecError("block sizes must be positive integers")
-            normalized.append((class_rep(lam), size))
+            rep = class_rep(lam)
+            normalized.append(block if type(block) is tuple
+                              and block[0] is rep else (rep, size))
         if not normalized:
             raise SpecError("spec must contain at least one block")
         normalized.sort(key=block_order(normalized, -1))
@@ -127,8 +151,10 @@ def jordan_block(lam: GaussianRational, size: int) -> QMatrix:
     return _jordan([(lam, size)])
 
 
+@functools.lru_cache(maxsize=_JORDAN_MEMO)
 def jordan_matrix(spec: JordanSpec) -> QMatrix:
-    """Direct sum of the spec's blocks in canonical order."""
+    """Direct sum of the spec's blocks in canonical order, memoized on the
+    spec (at most ``_JORDAN_MEMO`` matrices)."""
     return _jordan(spec.blocks)
 
 

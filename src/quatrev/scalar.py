@@ -4,9 +4,10 @@ Rationals are stdlib ``fractions.Fraction`` (arbitrary precision, always
 reduced, positive denominator).  A ``GaussianRational`` (exact complex
 number) is one integer triple (x, y, z) meaning (x + y i)/z in lowest terms,
 z > 0 and gcd(x, y, z) = 1: its equality, hash, arithmetic, inverse, class
-representative and unit test work on the triple's integers, and its ``re``
-and ``im`` are Fractions made from the triple when read.  ``Quaternion``
-(exact quaternions with the Hamilton product) holds four Fractions.
+representative, unit test and text (``str``) work on the triple's integers,
+and its ``re`` and ``im`` are Fractions made from the triple when read.
+``Quaternion`` (exact quaternions with the Hamilton product) holds four
+Fractions.
 Quaternionic spaces are treated as right modules throughout the package,
 so similarity classes of eigenvalues are represented by the unique complex
 number in the class with nonnegative imaginary part.
@@ -193,13 +194,21 @@ class GaussianRational:
         return cls(parse_rational(obj["re"]), parse_rational(obj["im"]))
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        imtxt = "i" if abs(im) == 1 else f"{abs(im)}i"
-        if not re:
-            return imtxt if im > 0 else f"-{imtxt}"
-        return f"{re}{'+' if im > 0 else '-'}{imtxt}"
+        """Written from the triple as the Fractions re and im would be."""
+        x, y, z = self._ints
+        if not y:
+            return _ratio(x, z)
+        imtxt = "i" if abs(y) == z else f"{_ratio(abs(y), z)}i"
+        if not x:
+            return imtxt if y > 0 else f"-{imtxt}"
+        return f"{_ratio(x, z)}{'+' if y > 0 else '-'}{imtxt}"
+
+
+def _ratio(p: int, q: int) -> str:
+    """p/q (q > 0) as ``str(Fraction(p, q))`` writes it: "p/q" in lowest
+    terms, or the integer alone."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def _lowest(x, y, z) -> GaussianRational:

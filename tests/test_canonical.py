@@ -1,8 +1,14 @@
 """Jordan and Weyr canonical forms and the change of basis between them."""
+import copy
+import dataclasses
+import tracemalloc
+from collections import namedtuple
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import circle_point, hostile_parts, rng_for
+import quatrev.canonical as canonical
+from conftest import circle_point, hostile_parts, rng_for, sweep_blocks
 from quatrev.classify import odd_unit_classes
 from quatrev.canonical import (JordanSpec, basic_weyr_matrix, jordan_block,
                                jordan_matrix, jordan_weyr_permutation,
@@ -10,6 +16,8 @@ from quatrev.canonical import (JordanSpec, basic_weyr_matrix, jordan_block,
 from quatrev.errors import SpecError
 from quatrev.matrix import QMatrix
 from quatrev.partitions import Partition, weyr_structure_of
+from quatrev.reversers import (FLAVOR_INVOLUTION, TARGET_INVERSE,
+                               assemble_reverser)
 from quatrev.scalar import (GR_I, Q_ONE, Q_ZERO, GaussianRational,
                             class_rep, gr, quat)
 
@@ -75,6 +83,92 @@ def test_spec_rejects_bad_blocks():
         JordanSpec.of([(gr(1), 0)])
     with pytest.raises(SpecError):
         JordanSpec.of([(gr(1), True)])
+
+
+_Block = namedtuple("_Block", "lam size")
+
+
+def test_spec_shares_the_callers_canonical_blocks():
+    blocks = [(gr(2), 1), (gr("3/5", "4/5"), 2), (GR_I, 3), (gr(-1), 1)]
+    spec = JordanSpec.of(blocks)
+    assert sorted(map(id, spec.blocks)) == sorted(map(id, blocks))
+
+
+@pytest.mark.parametrize("block,rep", [
+    (("2", 1), gr(2)),                             # a string eigenvalue
+    ((gr("3/5", "-4/5"), 1), gr("3/5", "4/5")),    # not the representative
+    ([gr(2), 1], gr(2)),                           # a list
+    (_Block(gr(2), 1), gr(2)),                     # a tuple subclass
+])
+def test_spec_copies_a_block_not_in_canonical_form(block, rep):
+    (kept,) = JordanSpec.of([block]).blocks
+    assert kept is not block
+    assert type(kept) is tuple and kept == (rep, 1)
+
+
+@pytest.mark.parametrize("make", [tuple, list, _Block._make])
+@pytest.mark.parametrize("lam,size,message", [
+    (gr(0), 2, "Jordan blocks must have nonzero eigenvalue"),
+    (gr(1), 0, "block sizes must be positive integers"),
+    (gr(1), True, "block sizes must be positive integers"),
+    ("0", 1, "Jordan blocks must have nonzero eigenvalue"),
+])
+def test_spec_errors_do_not_depend_on_the_block_type(make, lam, size,
+                                                     message):
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        JordanSpec.of([make((lam, size))])
+
+
+def test_spec_has_slots_and_no_dict():
+    spec = JordanSpec.of([(gr(2), 1)])
+    assert not hasattr(spec, "__dict__")
+    for name in ("blocks", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(spec, name)
+    assert copy.copy(spec) == spec
+
+
+def test_sweep_specs_fit_their_memory_budget():
+    # 17,589 specs whose blocks are the caller's; copying every block and
+    # keeping a __dict__ per spec took 6.9 MB
+    blocks = sweep_blocks()
+    tracemalloc.start()
+    try:
+        specs = [JordanSpec.of(b) for b in blocks]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(specs) == 17589
+    assert size <= 3.5e6
+
+
+def test_jordan_matrix_is_built_once_for_assemble(monkeypatch):
+    calls = []
+
+    def counted(blocks):
+        calls.append(blocks)
+        return fresh(blocks)
+
+    fresh = canonical._jordan
+    monkeypatch.setattr(canonical, "_jordan", counted)
+    jordan_matrix.cache_clear()
+    spec = JordanSpec.of([(gr(2), 2), (gr("1/2"), 2), (gr(-1), 1)])
+    a = jordan_matrix(spec)
+    cert = assemble_reverser(spec, TARGET_INVERSE, FLAVOR_INVOLUTION)
+    assert cert.residual_zero and len(calls) == 1
+    assert jordan_matrix(JordanSpec.of(spec.blocks)) is a
+    assert len(calls) == 1
+
+
+def test_memoized_jordan_matrix_matches_a_fresh_build(sweep_specs):
+    for spec in sweep_specs:
+        jordan_matrix(spec)
+        assert jordan_matrix(spec) == canonical._jordan(spec.blocks)
+    info = jordan_matrix.cache_info()
+    assert info.maxsize == canonical._JORDAN_MEMO
+    assert info.currsize <= canonical._JORDAN_MEMO
 
 
 def test_spec_classes_and_partition():

@@ -128,6 +128,28 @@ _parts = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
                    fractions_st)
 
 
+def _fraction_str(x: GaussianRational) -> str:
+    """``str(x)`` written from the Fractions re and im."""
+    re, im = x.re, x.im
+    if not im:
+        return str(re)
+    imtxt = "i" if abs(im) == 1 else f"{abs(im)}i"
+    if not re:
+        return imtxt if im > 0 else f"-{imtxt}"
+    return f"{re}{'+' if im > 0 else '-'}{imtxt}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(GaussianRational, _parts | hostile_parts,
+                 _parts | hostile_parts))
+@example(GaussianRational(Fraction(1, 2), Fraction(-1, 3)))   # z = 6
+@example(GaussianRational(Fraction(2), Fraction(5, 3)))
+@example(GaussianRational(Fraction(-3, 4), Fraction(1)))
+@example(GaussianRational(Fraction(0), Fraction(-1)))
+def test_str_is_the_fraction_rendering(x):
+    assert str(x) == _fraction_str(x)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.builds(GaussianRational, _parts, _parts), st.data())
 def test_parse_complex_reads_str_with_spaces_only_between_tokens(x, data):
