@@ -22,6 +22,18 @@ residual is formed as A (G A) or (A G) A, so its first product, G A or
 A G, is a factor of the split ``decompose.factorize`` reads.  Products
 (``_product``, in plain ints as FLINT's ``fmpq_mat_mul``) and elimination
 (``_eliminate``, fraction-free) never leave the integers either.
+
+The square is tested on A's Jordan chains alone when three things hold:
+the residual has passed, the flavor is an involution or skew-involution,
+and A is upper bidiagonal with no zero on its diagonal, as every Jordan
+matrix is.  Then only Gbar (Gbar e_j) = +-gamma^2 e_j is tested, for the
+chain ends j: n - 1 and every j with a_{j,j+1} = 0.  This is exact.  A is
+triangular with a nonzero diagonal, so invertible, and A G A = r G (r =
++-1) gives G A = r A^{-1} G, so G^2 A = r G A^{-1} G = A G^2.  Within a
+chain e_{j-1} = (A e_j - e_j a_jj) a_{j-1,j}^{-1}, and G^2, which commutes
+with A and with right scalars, maps it to s e_{j-1} if it maps e_j to
+s e_j (s = +-1 real); so G^2 = s I on the chain ends gives G^2 = s I.  Any
+other input forms the whole square.
 """
 from __future__ import annotations
 
@@ -236,6 +248,43 @@ def _squares_to(d, rows, sign, halves=None):
                for j, e in enumerate(row))
 
 
+def _chain_ends(a_rows):
+    """The ends of A's Jordan chains, n - 1 and every j with a_{j,j+1} = 0,
+    if A is upper bidiagonal with no zero on its diagonal; else None."""
+    n, ends = len(a_rows), []
+    for i, row in enumerate(a_rows):
+        zeros = row.count(None)
+        if row[i] is None or zeros < n - 2:
+            return None
+        if zeros == n - 1:
+            ends.append(i)
+        elif i == n - 1 or row[i + 1] is None:
+            return None
+    return ends
+
+
+def _squares_on(d, rows, sign, cols):
+    """Whether (rows/d)^2 e_j = sign*e_j for every j in cols, tested as
+    rows*(column j of rows) == sign*d^2*e_j."""
+    unit = (sign * d * d, 0, 0, 0)
+    for j in cols:
+        col = [(k, row[j]) for k, row in enumerate(rows) if row[j]]
+        for i, row in enumerate(rows):
+            s0 = s1 = s2 = s3 = 0
+            for k, (q0, q1, q2, q3) in col:
+                p = row[k]
+                if p is None:
+                    continue
+                p0, p1, p2, p3 = p
+                s0 += p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
+                s1 += p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
+                s2 += p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
+                s3 += p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
+            if (s0, s1, s2, s3) != (unit if i == j else (0, 0, 0, 0)):
+                return False
+    return True
+
+
 def _eliminate(d, rows, full):
     """Fraction-free quaternion elimination on the integer rows of d*M,
     after Bareiss (Math. Comp. 22, 1968).
@@ -339,8 +388,13 @@ def check(g, a, target: str, flavor: str):
     residual = all(e == (x and (f * x[0], f * x[1], f * x[2], f * x[3]))
                    for out_row, g_row in zip(aga, g_rows)
                    for e, x in zip(out_row, g_row))
-    square = not square_sign or _squares_to(gamma, g_rows, square_sign,
-                                            (hg, hg))
+    # with the residual passed, a bidiagonal A's chain ends decide g^2
+    ends = residual and square_sign and _chain_ends(a_rows)
+    if ends:
+        square = _squares_on(gamma, g_rows, square_sign, ends)
+    else:
+        square = not square_sign or _squares_to(gamma, g_rows, square_sign,
+                                                (hg, hg))
     det_one = bool(square_sign) and square or _study_det(gamma, g_rows) == 1
     return VerifyReport(residual, square, det_one), (alpha * gamma, first)
 

@@ -84,6 +84,10 @@ class QMatrix:
     def __delattr__(self, name):
         raise AttributeError("matrices are immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the stored form, past __setattr__
+        return type(self)._of_form, (self._ints,)
+
     # -- construction helpers -------------------------------------------
 
     @classmethod
@@ -159,9 +163,11 @@ class QMatrix:
         return self._of_ints(d, out)
 
     def __neg__(self):
+        # negation keeps d and the gcd, so the form needs no reduction
         d, rows = self._ints
-        return self._of_ints(d, [[e and (-e[0], -e[1], -e[2], -e[3])
-                                  for e in row] for row in rows])
+        return self._of_form((d, tuple(map(tuple, [
+            [e and (-e[0], -e[1], -e[2], -e[3]) for e in row]
+            for row in rows]))))
 
     def __mul__(self, other):
         if not isinstance(other, QMatrix):

@@ -93,6 +93,10 @@ class GaussianRational:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the triple, past __setattr__
+        return _from_lowest, self._ints
+
     @property
     def re(self) -> Fraction:
         x, _, z = self._ints

@@ -1,6 +1,8 @@
 """Shared helpers: seeded random generators, the exhaustive spec sweep, and
 independent oracles for the library's closed forms and checks."""
+import copy
 import math
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,6 +221,15 @@ def naive_modified(m, mod, left=False, sign=1):
     xm = QMatrix.diagonal(diag)
     out = naive_mul(xm, m) if left else naive_mul(m, xm)
     return [[q if sign > 0 else -q for q in row] for row in out.entries]
+
+
+def round_trips(x):
+    """x through copy.copy, copy.deepcopy and a pickle round trip under
+    every protocol."""
+    yield copy.copy(x)
+    yield copy.deepcopy(x)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(x, protocol))
 
 
 def naive_check(g: QMatrix, a: QMatrix, target: str,

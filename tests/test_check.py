@@ -34,15 +34,17 @@ DENOMS = {
     "3^38": (3**38 - 2, 3**38, 3**38 + 2),
 }
 
-# admitted certificates of total size n: one for each of 40 seeded sweep specs
+# admitted certificates of total size n: one for each of 40 seeded sweep
+# specs, all of whose blocks have size 1 if ``diagonal``
 _BASES = {}
 
 
-def _bases(n):
-    if n not in _BASES:
+def _bases(n, diagonal=False):
+    if (n, diagonal) not in _BASES:
         found = []
         specs = [b for b in sweep_blocks(max_total=n)
-                 if sum(s for _, s in b) == n]
+                 if sum(s for _, s in b) == n
+                 and not (diagonal and any(s > 1 for _, s in b))]
         for blocks in random.Random(n).sample(specs, min(40, len(specs))):
             spec = JordanSpec.of(blocks)
             for kind in KINDS:
@@ -52,8 +54,8 @@ def _bases(n):
                     break
                 except NotConstructible:
                     continue
-        _BASES[n] = found
-    return _BASES[n]
+        _BASES[n, diagonal] = found
+    return _BASES[n, diagonal]
 
 
 def _scalar(rng, dens, nonzero=False):
@@ -105,15 +107,59 @@ def _singular(rng, a):
     return QMatrix(rows)
 
 
+def _chain_ends(a):
+    """The j with a_{j,j+1} = 0, and n - 1: for an upper bidiagonal A, the
+    ends of its Jordan chains."""
+    n = a.n_rows
+    return [j for j in range(n) if j == n - 1 or a.entry(j, j + 1).is_zero]
+
+
+# the cases whose A keeps the bidiagonal shape of a Jordan matrix: conjugated
+# by a diagonal S, so ``check`` tests the square on A's chain ends alone
+CHAIN_CASES = ("centralizer-scaled", "chain-ends-only", "zero-diagonal",
+               "diagonal-a")
+
+
 def pair_for(seed, n, denoms, case):
     """An (A, g) pair of size n: a sweep certificate conjugated by a dense or
-    sparse S with the given denominators, then altered as ``case`` says."""
+    sparse S with the given denominators, then altered as ``case`` says.
+    For the ``CHAIN_CASES`` S is diagonal, so A stays upper bidiagonal.
+
+    - "centralizer-scaled": g times c*I on A's first Jordan block, c real
+      and c^2 != 1; c*I there commutes with A, so the residual still passes,
+      and the square fails;
+    - "chain-ends-only": g is random save on A's chain-end columns, where
+      it is u*e_j with u^2 = +-1, so g^2 = +-I on those columns alone and
+      the residual fails (unless every column is a chain end);
+    - "zero-diagonal": one diagonal entry of A set to 0, a singular A;
+    - "diagonal-a": a certificate for a diagonal Jordan matrix.
+    """
     rng = random.Random(seed)
     dens = DENOMS[denoms]
-    a, g = rng.choice(_bases(n))
-    s, s_inv = _conjugator(rng, n, dens, rng.choice([0, 1, n]))
+    a, g = rng.choice(_bases(n, diagonal=case == "diagonal-a"))
+    steps = 0 if case in CHAIN_CASES else rng.choice([0, 1, n])
+    s, s_inv = _conjugator(rng, n, dens, steps)
     a, g = s * a * s_inv, s * g * s_inv
-    if case == "tampered":
+    if case == "centralizer-scaled":
+        c = rng.choice([1, -1]) * (1 + Fraction(1, rng.choice(dens)))
+        first = _chain_ends(a)[0]
+        g = g * QMatrix.diagonal([quat(c) if j <= first else quat(1)
+                                  for j in range(n)])
+    elif case == "chain-ends-only":
+        units = rng.choice([(quat(1), quat(-1)), UNIT_PURE])
+        rows = [list(row) for row in
+                _random(rng, n, dens, rng.choice([0.3, 1.0])).entries]
+        for j in _chain_ends(a):
+            u = rng.choice(units)
+            for i in range(n):
+                rows[i][j] = u if i == j else Q_ZERO
+        g = QMatrix(rows)
+    elif case == "zero-diagonal":
+        rows = [list(row) for row in a.entries]
+        i = rng.randrange(n)
+        rows[i][i] = Q_ZERO
+        a = QMatrix(rows)
+    elif case == "tampered":
         g = _tamper(rng, g, dens)
     elif case == "scaled":
         g = g * QMatrix.scalar(n, _scalar(rng, dens, nonzero=True))
@@ -130,7 +176,7 @@ def pair_for(seed, n, denoms, case):
 @given(st.integers(0, 2**32), st.integers(1, 6),
        st.sampled_from(sorted(DENOMS)),
        st.sampled_from(["as-built", "tampered", "scaled", "singular",
-                        "random-g", "random-a"]))
+                        "random-g", "random-a", *CHAIN_CASES]))
 def test_check_matches_naive_check(seed, n, denoms, case):
     a, g = pair_for(seed, n, denoms, case)
     for target, flavor in REQUESTS:
@@ -140,17 +186,25 @@ def test_check_matches_naive_check(seed, n, denoms, case):
 
 def test_check_matches_naive_check_on_fixed_cases():
     """Each case at each size once, so every run sees a passing check, a
-    tampered g and a singular A with 60-bit denominators."""
+    tampered g and a singular A with 60-bit denominators, and on a
+    bidiagonal A a passed residual with a failed square and a failed
+    residual with g^2 = +-I on the chain ends alone."""
     seen = set()
     for n in range(1, 7):
         for i, case in enumerate(["as-built", "tampered", "singular",
-                                  "scaled"]):
+                                  "scaled", *CHAIN_CASES]):
             a, g = pair_for(n * 10 + i, n, ("2^60", "3^38")[n % 2], case)
             for target, flavor in REQUESTS:
                 report = check_certificate(g, a, target, flavor)
                 assert report == naive_check(g, a, target, flavor)
                 seen.add((case, report.ok))
+                if flavor != FLAVOR_GENERAL:
+                    seen.add((case, report.residual_zero,
+                              report.flavor_verified))
     assert ("as-built", True) in seen and ("tampered", False) in seen
+    assert ("centralizer-scaled", True, False) in seen
+    assert ("chain-ends-only", False, False) in seen
+    assert ("diagonal-a", True) in seen
 
 
 def test_sweep_certificates_match_naive_check():
@@ -220,6 +274,18 @@ def test_stored_integer_form_stays_correct(seed, n, denoms, density, in_c,
         assert (d, rows) == _fresh(m)._ints
         assert isinstance(rows, tuple)
         assert all(isinstance(row, tuple) for row in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6),
+       st.sampled_from(sorted(DENOMS)), st.sampled_from([0.0, 0.3, 1.0]))
+def test_negation_keeps_the_reduced_form(seed, n, denoms, density):
+    """-M is born in the form a fresh scaling of its negated entries gets:
+    negation keeps d and the gcd."""
+    m = _random(random.Random(seed), n, DENOMS[denoms], density)
+    assert (-m)._ints == QMatrix([[-x for x in row]
+                                  for row in m.entries])._ints
+    assert -(-m) == m
 
 
 @settings(max_examples=30, deadline=None)
@@ -303,6 +369,53 @@ def test_passed_square_skips_the_elimination(monkeypatch):
         with pytest.raises(_Eliminated):
             check_certificate(_tamper(rng, cert.g, DENOMS["small"]), a,
                               cert.target, cert.flavor)
+
+
+class _Squared(Exception):
+    pass
+
+
+def test_canonical_a_with_a_passed_residual_never_forms_g_squared(
+        monkeypatch):
+    """With the full square made to raise, a certificate of each kind still
+    verifies and factorizes on its Jordan matrix, and g times 2*I on the
+    first Jordan block still fails its square: the square is tested on the
+    chain ends alone.  A dense A, a singular bidiagonal A and a failed
+    residual still form g^2; "general" tests no square at all."""
+    built = [(jordan_matrix(JordanSpec.of(blocks)),
+              assemble_reverser(JordanSpec.of(blocks), *kind))
+             for kind, blocks in _KIND_SPECS.items()]
+
+    def squared(d, rows, sign, halves=None):
+        raise _Squared
+
+    monkeypatch.setattr(checker, "_squares_to", squared)
+    for a, cert in built:
+        n = a.n_rows
+        assert verify_certificate(a, cert).ok
+        fact = factorize(a, cert)
+        assert fact.s1 * fact.s2 == a
+        first = _chain_ends(a)[0]
+        scaled = cert.g * QMatrix.diagonal([quat(2) if j <= first else quat(1)
+                                            for j in range(n)])
+        report = check_certificate(scaled, a, cert.target, cert.flavor)
+        assert report.residual_zero and not report.flavor_verified
+        assert report == naive_check(scaled, a, cert.target, cert.flavor)
+        s = QMatrix([[quat(1) if j <= i else Q_ZERO for j in range(n)]
+                     for i in range(n)])
+        s_inv = s.inverse()
+        assert any(not (s * a * s_inv).entry(i, j).is_zero
+                   for i in range(n) for j in range(i))
+        zero = [list(row) for row in a.entries]
+        zero[0][0] = Q_ZERO
+        dense = (s * cert.g * s_inv, s * a * s_inv, cert.target)
+        # g = 0 passes the residual A 0 A = +-0
+        singular = (QMatrix.zeros(n), QMatrix(zero), cert.target)
+        failed = (cert.g, a, next(t for t in TARGETS if t != cert.target))
+        for g, a_, target in (dense, singular, failed):
+            with pytest.raises(_Squared):
+                check_certificate(g, a_, target, cert.flavor)
+        assert check_certificate(cert.g, a, cert.target, FLAVOR_GENERAL).ok
 
 
 # -- the one checker module --------------------------------------------------

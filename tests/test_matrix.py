@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (cofactor_det, complex_matrix, conjugacy_residual,
                       det_bareiss, naive_inverse, naive_mul, naive_qdet,
-                      rand_invertible, rand_qmatrix, rand_quat, rng_for,
-                      sweep_blocks, toeplitz_build)
-from quatrev.canonical import JordanSpec
+                      rand_invertible, rand_qmatrix, rand_quat,
+                      round_trips, rng_for, sweep_blocks, toeplitz_build)
+from quatrev.canonical import JordanSpec, jordan_matrix
 from quatrev.errors import NotConstructible, ShapeError, SingularError
 from quatrev.matrix import (QMatrix, block_diagonal, is_involution,
                             is_skew_involution, phi_embed, place_blocks,
                             qdet)
 from quatrev.reversers import assemble_reverser
 from quatrev.scalar import (GR_ZERO, Q_I, Q_J, Q_ONE, Q_ZERO,
-                            GaussianRational, Quaternion, quat)
+                            GaussianRational, Quaternion, gr, quat)
 
 
 def qm(rows):
@@ -196,6 +196,24 @@ def test_qmatrix_json_round_trip():
     assert QMatrix.from_json(m.to_json()) == m
     with pytest.raises(ValueError):
         QMatrix.from_json({"n": 2, "m": 2, "entries": [[["1", "0", "0", "0"]]]})
+
+
+def test_matrices_and_specs_copy_and_pickle_and_stay_immutable():
+    """A matrix comes back with its stored form and stays immutable; so do
+    a spec and a certificate, which hold complex rationals and matrices."""
+    spec = JordanSpec.of([(gr(2), 3), (gr("1/2"), 3)])
+    cert = assemble_reverser(spec, "inverse", "involution")
+    for m in (jordan_matrix(spec), cert.g, rand_qmatrix(rng_for("pickle"), 3),
+              QMatrix.zeros(2, 3)):
+        for copied in round_trips(m):
+            assert type(copied) is QMatrix
+            assert copied == m and copied._ints == m._ints
+            assert copied.entries == m.entries
+            with pytest.raises(AttributeError, match="immutable"):
+                copied.n_rows = 1
+    for x in (spec, cert):
+        for copied in round_trips(x):
+            assert copied == x
 
 
 # -- the integer product kernel against the entrywise oracle -------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (PairModel, circle_point, hostile_parts,
-                      naive_gr_inverse, naive_norm_sq)
+                      naive_gr_inverse, naive_norm_sq, round_trips)
 from quatrev.canonical import JordanSpec
 from quatrev.classify import _is_unit
 from quatrev.scalar import (GR_I, GR_ONE, GR_ZERO, GaussianRational,
@@ -195,6 +195,15 @@ def test_gaussian_power():
     assert x.power(2) == gr(0, 2)
     assert x.power(0) == GR_ONE
     assert x.power(-2) == gr(0, 2).inverse()
+
+
+def test_gaussian_copies_and_pickles_and_stays_immutable():
+    for x in (GR_ZERO, GR_I, gr("-3/4", "5/6"), gr(2**70 + 1, "1/3")):
+        for y in round_trips(x):
+            assert type(y) is GaussianRational
+            assert y == x and hash(y) == hash(x) and y._ints == x._ints
+            with pytest.raises(AttributeError, match="immutable"):
+                y._ints = (1, 0, 1)
 
 
 def test_gaussian_json_round_trip():
