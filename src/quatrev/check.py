@@ -23,6 +23,15 @@ A G, is a factor of the split ``decompose.factorize`` reads.  Products
 (``_product``, in plain ints as FLINT's ``fmpq_mat_mul``) and elimination
 (``_eliminate``, fraction-free) never leave the integers either.
 
+One read of A, ``_bidiagonal``, feeds both the residual and the square.
+A Jordan matrix is upper bidiagonal with every entry in C, and for such an
+A each entry of X A is x_ij a_jj + x_{i,j-1} a_{j-1,j} and each row of A X
+is a_ii x_i + a_{i,i+1} x_{i+1}: two terms, formed by ``_times_bidiagonal``
+and ``_bidiagonal_times`` over X's nonzero entries alone.  With x = z + w j
+as in ``_product`` (F. Zhang), a complex a acts as x a = z a + w conj(a) j
+and a x = a z + a w j, 8 integer multiplications whatever halves G holds.
+Any other A, dense or with an entry off C, runs ``_product`` for both.
+
 The square is tested on A's Jordan chains alone when three things hold:
 the residual has passed, the flavor is an involution or skew-involution,
 and A is upper bidiagonal with no zero on its diagonal, as every Jordan
@@ -248,19 +257,72 @@ def _squares_to(d, rows, sign, halves=None):
                for j, e in enumerate(row))
 
 
-def _chain_ends(a_rows):
-    """The ends of A's Jordan chains, n - 1 and every j with a_{j,j+1} = 0,
-    if A is upper bidiagonal with no zero on its diagonal; else None."""
-    n, ends = len(a_rows), []
+def _bidiagonal(a_rows):
+    """One read of an upper bidiagonal A, as (bands, ends).  ``bands`` is
+    A's diagonal and superdiagonal, a_ii and a_{i,i+1} as Gaussian pairs
+    (x, y) = x + yi, None for zero and the superdiagonal padded by one None,
+    if every nonzero entry lies in C; ``ends`` the ends of A's Jordan
+    chains, n - 1 and every j with a_{j,j+1} = 0, if no a_ii is zero.  Each
+    is None where that fails, both if A is not upper bidiagonal."""
+    n, diag, sup = len(a_rows), [], []
     for i, row in enumerate(a_rows):
-        zeros = row.count(None)
-        if row[i] is None or zeros < n - 2:
-            return None
-        if zeros == n - 1:
-            ends.append(i)
-        elif i == n - 1 or row[i + 1] is None:
-            return None
-    return ends
+        d, s = row[i], row[i + 1] if i + 1 < n else None
+        if row.count(None) != n - 2 + (d is None) + (s is None):
+            return None, None
+        diag.append(d)
+        sup.append(s)
+    ends = [j for j, s in enumerate(sup) if s is None] if all(diag) else None
+    if any(e[2] or e[3] for e in (*diag, *sup) if e):
+        return None, ends
+    return ([d and d[:2] for d in diag], [s and s[:2] for s in sup]), ends
+
+
+def _times_bidiagonal(flat, diag, sup):
+    """X A from X's entries in row-major order and A's ``_bidiagonal``
+    bands, in the same order: entry (i, j) is x_ij a_jj + x_{i,j-1} a_{j-1,j},
+    so a live x_ij feeds entries (i, j) and (i, j + 1) alone.  A complex a
+    acts on x = z + w j from the right as z a + w conj(a) j: 8
+    multiplications."""
+    n = len(diag)
+    out, diag, sup = [None] * len(flat), diag * n, sup * n
+    for k in itertools.compress(range(len(flat)), flat):
+        x0, x1, x2, x3 = flat[k]
+        if a := diag[k]:
+            p, q = a
+            s0, s1 = x0 * p - x1 * q, x0 * q + x1 * p
+            s2, s3 = x2 * p + x3 * q, x3 * p - x2 * q
+            if t := out[k]:     # x_{i,j-1} a_{j-1,j}, put there first
+                s0, s1, s2, s3 = s0 + t[0], s1 + t[1], s2 + t[2], s3 + t[3]
+            out[k] = (s0, s1, s2, s3) if s0 or s1 or s2 or s3 else None
+        if b := sup[k]:         # None in the last column
+            p, q = b
+            out[k + 1] = (x0 * p - x1 * q, x0 * q + x1 * p,
+                          x2 * p + x3 * q, x3 * p - x2 * q)
+    return out
+
+
+def _bidiagonal_times(diag, sup, flat):
+    """A X from A's ``_bidiagonal`` bands and X's entries in row-major order,
+    in the same order: row i is a_ii x_i + a_{i,i+1} x_{i+1}, so a live x_ij
+    feeds entries (i, j) and (i - 1, j) alone.  A complex a acts on
+    x = z + w j from the left as a z + a w j: 8 multiplications."""
+    n = len(diag)
+    out, sup = [None] * len(flat), [None, *sup]    # sup[i] = a_{i-1,i}
+    for k in itertools.compress(range(len(flat)), flat):
+        x0, x1, x2, x3 = flat[k]
+        i = k // n
+        if a := diag[i]:
+            p, q = a
+            out[k] = (p * x0 - q * x1, p * x1 + q * x0,
+                      p * x2 - q * x3, p * x3 + q * x2)
+        if b := sup[i]:
+            p, q = b
+            s0, s1 = p * x0 - q * x1, p * x1 + q * x0
+            s2, s3 = p * x2 - q * x3, p * x3 + q * x2
+            if t := out[k - n]:
+                s0, s1, s2, s3 = s0 + t[0], s1 + t[1], s2 + t[2], s3 + t[3]
+            out[k - n] = (s0, s1, s2, s3) if s0 or s1 or s2 or s3 else None
+    return out
 
 
 def _squares_on(d, rows, sign, cols):
@@ -375,26 +437,38 @@ def check(g, a, target: str, flavor: str):
     if not len(a_rows) == len(a_rows[0]) == len(g_rows) == len(g_rows[0]):
         raise ShapeError("matrix and certificate sizes do not match")
     residual_sign, square_sign = _RESIDUAL_SIGN[target], _SQUARE_SIGN[flavor]
-    ha, hg = _half(a_rows), _half(g_rows)
-    # a product of halves h1 and h2 lies in h1 ^ h2: C C, Cj Cj in C
-    hf = None if ha is None or hg is None else ha ^ hg
-    if residual_sign > 0:
-        first = _product(g_rows, a_rows, (hg, ha))
-        aga = _product(a_rows, first, (ha, hf))
+    bands, ends = _bidiagonal(a_rows)
+    g_flat = [*itertools.chain.from_iterable(g_rows)]
+    if bands:
+        if residual_sign > 0:
+            first = _times_bidiagonal(g_flat, *bands)
+            aga = _bidiagonal_times(*bands, first)
+        else:
+            first = _bidiagonal_times(*bands, g_flat)
+            aga = _times_bidiagonal(first, *bands)
+        first = [*zip(*[iter(first)] * len(g_rows))]
+        halves = None
     else:
-        first = _product(a_rows, g_rows, (ha, hg))
-        aga = _product(first, a_rows, (hf, ha))
+        ha, hg = _half(a_rows), _half(g_rows)
+        # a product of halves h1 and h2 lies in h1 ^ h2: C C, Cj Cj in C
+        hf = None if ha is None or hg is None else ha ^ hg
+        if residual_sign > 0:
+            first = _product(g_rows, a_rows, (hg, ha))
+            aga = _product(a_rows, first, (ha, hf))
+        else:
+            first = _product(a_rows, g_rows, (ha, hg))
+            aga = _product(first, a_rows, (hf, ha))
+        aga = [*itertools.chain.from_iterable(aga)]
+        halves = hg, hg
     f = residual_sign * alpha * alpha
-    residual = all(e == (x and (f * x[0], f * x[1], f * x[2], f * x[3]))
-                   for out_row, g_row in zip(aga, g_rows)
-                   for e, x in zip(out_row, g_row))
+    residual = aga == [x and (f * x[0], f * x[1], f * x[2], f * x[3])
+                       for x in g_flat]
     # with the residual passed, a bidiagonal A's chain ends decide g^2
-    ends = residual and square_sign and _chain_ends(a_rows)
-    if ends:
+    if residual and square_sign and ends:
         square = _squares_on(gamma, g_rows, square_sign, ends)
     else:
         square = not square_sign or _squares_to(gamma, g_rows, square_sign,
-                                                (hg, hg))
+                                                halves)
     det_one = bool(square_sign) and square or _study_det(gamma, g_rows) == 1
     return VerifyReport(residual, square, det_one), (alpha * gamma, first)
 

@@ -69,18 +69,22 @@ def float_matrix_from_json(obj) -> np.ndarray:
         raise ValueError("not a float matrix object")
     if "n" in obj and type(obj["n"]) is not int:  # a bool is not a size
         raise ValueError("float matrix dimension must be an integer")
+    # numpy reads "1_0", " 2 " and true as floats and refuses "1/2" in a
+    # message of its own, so every item, at every depth, is typed first
+    items, kinds = [obj["entries"]], set()
+    while items:
+        kinds |= set(map(type, items))
+        items = [x for item in items if type(item) is list for x in item]
+    if not kinds <= {list, int, float}:
+        raise ValueError("float matrix entries must be JSON numbers")
     try:
         arr = np.asarray(obj["entries"], dtype=float)
-    except (TypeError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValueError(f"float matrix fields must be numbers: {exc}") from exc
-    except ValueError as exc:  # numpy's message quotes the whole string
+    except ValueError as exc:  # numpy's message on a ragged array
         raise ValueError(clipped(str(exc))) from exc
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 4:
         raise ValueError("float matrix entries must form an n x n x 4 array")
-    # numpy reads "1_0", " 2 " and true as floats too
-    kinds = {type(x) for row in obj["entries"] for e in row for x in e}
-    if not kinds <= {int, float}:
-        raise ValueError("float matrix entries must be JSON numbers")
     if not np.isfinite(arr).all():
         raise ValueError("float matrix entries must be finite")
     if obj.get("n", arr.shape[0]) != arr.shape[0]:

@@ -418,6 +418,158 @@ def test_canonical_a_with_a_passed_residual_never_forms_g_squared(
         assert check_certificate(cert.g, a, cert.target, FLAVOR_GENERAL).ok
 
 
+# -- the residual on a complex bidiagonal A ----------------------------------
+
+# the components each entry of a random X may use: C, Cj, C or Cj, all of H
+_HALVES = {"C": ((0, 1),), "Cj": ((2, 3),), "mixed": ((0, 1), (2, 3)),
+           "H": ((0, 1, 2, 3),)}
+
+
+def _flat(rows):
+    return [e for row in rows for e in row]
+
+
+def _bidiagonal_pair(seed, n, denoms, halves):
+    """(A, X): a complex upper bidiagonal A, its superdiagonal partly zero and
+    one diagonal entry zero one time in three, and an X whose entries use
+    ``halves``, both with the given denominators."""
+    rng = random.Random(seed)
+    dens = DENOMS[denoms]
+
+    def gaussian():
+        return Quaternion(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                            for _ in range(2)), 0, 0)
+
+    rows = [[gaussian() if j == i or j == i + 1 and rng.random() < 0.6
+             else Q_ZERO for j in range(n)] for i in range(n)]
+    if rng.random() < 1 / 3:
+        i = rng.randrange(n)
+        rows[i][i] = Q_ZERO
+
+    def entry():
+        parts = rng.choice(_HALVES[halves])
+        return Quaternion(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                            if c in parts else 0 for c in range(4)))
+
+    x = QMatrix([[entry() if rng.random() < 0.6 else Q_ZERO
+                  for _ in range(n)] for _ in range(n)])
+    return QMatrix(rows), x, rng
+
+
+def _cancelled(x_rows, rng, parts, side, first, second, a, b):
+    """X's integer rows with x[first] and x[second] set so that entry
+    ``first`` of X A (side "right") or of A X ("left") cancels to zero, for
+    the complex entries a, b of A that meet them there: -w b and w a on the
+    right, -b w and a w on the left, w random in ``parts``; a and b commute,
+    so the two terms sum to zero."""
+    half = rng.choice(parts)
+    w = (0,) * 4
+    while not any(w):
+        w = tuple(rng.randint(-9, 9) if c in half else 0 for c in range(4))
+    if side == "right":
+        u, v = checker._hmul(w, b), checker._hmul(w, a)
+    else:
+        u, v = checker._hmul(b, w), checker._hmul(a, w)
+    rows = [list(row) for row in x_rows]
+    (i, j), (k, m) = first, second
+    rows[i][j], rows[k][m] = tuple(-c for c in u), v
+    return rows, first, side
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6),
+       st.sampled_from(sorted(DENOMS)), st.sampled_from(sorted(_HALVES)))
+@example(seed=5, n=1, denoms="2^60", halves="H")
+def test_bidiagonal_kernels_match_the_general_product(seed, n, denoms,
+                                                      halves):
+    """X A and A X from the two kernels equal ``_product``'s, on X in C, Cj,
+    both or all of H; an entry that cancels to zero comes out None."""
+    a, x, rng = _bidiagonal_pair(seed, n, denoms, halves)
+    (_, a_rows), (_, x_rows) = a._ints, x._ints
+    bands, _ = checker._bidiagonal(a_rows)
+    assert bands is not None
+    diag, sup = bands
+    cases = [(x_rows, None, None)]
+    # a cancelling entry (i, j) of X A: x_ij a_jj + x_{i,j-1} a_{j-1,j} = 0
+    right = [j for j in range(1, n) if diag[j] and sup[j - 1]]
+    if right:
+        i, j = rng.randrange(n), rng.choice(right)
+        a_jj, a_up = a_rows[j][j], a_rows[j - 1][j]
+        cases.append(_cancelled(x_rows, rng, _HALVES[halves], "right",
+                                (i, j), (i, j - 1), a_jj, a_up))
+    # a cancelling entry (i, k) of A X: a_ii x_ik + a_{i,i+1} x_{i+1,k} = 0
+    left = [i for i in range(n - 1) if diag[i] and sup[i]]
+    if left:
+        i, k = rng.choice(left), rng.randrange(n)
+        a_ii, a_up = a_rows[i][i], a_rows[i][i + 1]
+        cases.append(_cancelled(x_rows, rng, _HALVES[halves], "left",
+                                (i, k), (i + 1, k), a_ii, a_up))
+    for rows, pos, side in cases:
+        xa = checker._times_bidiagonal(_flat(rows), *bands)
+        ax = checker._bidiagonal_times(*bands, _flat(rows))
+        assert xa == _flat(checker._product(rows, a_rows))
+        assert ax == _flat(checker._product(a_rows, rows))
+        if side:
+            i, j = pos
+            assert (xa if side == "right" else ax)[i * n + j] is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 5),
+       st.sampled_from(sorted(DENOMS)), st.sampled_from(sorted(_HALVES)))
+@example(seed=5, n=1, denoms="2^60", halves="H")
+def test_check_on_a_complex_bidiagonal_a_matches_naive_check(seed, n, denoms,
+                                                              halves):
+    a, g, _ = _bidiagonal_pair(seed, n, denoms, halves)
+    for target, flavor in REQUESTS:
+        assert (check_certificate(g, a, target, flavor)
+                == naive_check(g, a, target, flavor)), (target, flavor)
+
+
+class _Multiplied(Exception):
+    pass
+
+
+def test_complex_bidiagonal_a_never_runs_the_general_product(monkeypatch):
+    """With ``_product`` and ``_hamilton`` made to raise, a certificate of
+    each kind still verifies and factorizes on its Jordan matrix.  A dense A
+    and the conjugate of J by a quaternion diagonal S, upper bidiagonal with
+    entries off C, still reach ``_product``."""
+    others, built = [], []
+    for kind, blocks in _KIND_SPECS.items():
+        spec = JordanSpec.of(blocks)
+        a, cert = jordan_matrix(spec), assemble_reverser(spec, *kind)
+        n = a.n_rows
+        built.append((a, cert))
+        low = QMatrix([[quat(1) if j <= i else Q_ZERO for j in range(n)]
+                       for i in range(n)])
+        diag = QMatrix.diagonal([(quat(1, 0, 1), quat(1, 1, 0, 1),
+                                  quat(2, 0, 0, 1))[i % 3] for i in range(n)])
+        for s in (low, diag):
+            s_inv = s.inverse()
+            others.append((s * cert.g * s_inv, s * a * s_inv, cert))
+        _, rows = others[-1][1]._ints
+        assert any(e[2] or e[3] for row in rows for e in row if e)
+        assert checker._bidiagonal(rows)[0] is None
+        assert checker._bidiagonal(rows)[1] is not None
+
+    def multiplied(*args):
+        raise _Multiplied
+
+    monkeypatch.setattr(checker, "_product", multiplied)
+    monkeypatch.setattr(checker, "_hamilton", multiplied)
+    facts = []
+    for a, cert in built:
+        assert verify_certificate(a, cert).ok
+        facts.append(factorize(a, cert))
+    for g, a, cert in others:
+        with pytest.raises(_Multiplied):
+            check_certificate(g, a, cert.target, cert.flavor)
+    monkeypatch.undo()      # multiplying the factors runs ``_product``
+    for (a, _), fact in zip(built, facts):
+        assert fact.s1 * fact.s2 == a
+
+
 # -- the one checker module --------------------------------------------------
 
 _SRC = pathlib.Path(checker.__file__).resolve().parent
@@ -462,11 +614,13 @@ def test_the_certificate_contract_is_written_once():
     report are defined in ``check`` and nowhere else; the two call layers
     it replaced are gone, and ``check`` has no entry point of its own."""
     once = {"_product", "_eliminate", "_hmul", "_conj_norm", "_half",
-            "_hamilton", "_squares_to", "_study_det", "_cleared", "_over",
-            "_form", "rational_ints", "quaternion_ints", "_RATIONAL_RE",
-            "_INTEGER_RE", "_RESIDUAL_SIGN", "_SQUARE_SIGN", "TARGETS",
-            "FLAVORS", "VerifyReport", "check", "verify"}
-    gone = {"conjugator_checks", "_kind_checks", "format_rational"}
+            "_hamilton", "_bidiagonal", "_times_bidiagonal",
+            "_bidiagonal_times", "_squares_to", "_study_det", "_cleared",
+            "_over", "_form", "rational_ints", "quaternion_ints",
+            "_RATIONAL_RE", "_INTEGER_RE", "_RESIDUAL_SIGN", "_SQUARE_SIGN",
+            "TARGETS", "FLAVORS", "VerifyReport", "check", "verify"}
+    gone = {"conjugator_checks", "_kind_checks", "format_rational",
+            "_chain_ends"}
     modules = [p.stem for p in _SRC.glob("*.py")]
     assert once <= _defined("check")
     for name in modules:
